@@ -35,6 +35,7 @@
 use daakg_autograd::tensor::dot_unrolled as dot;
 use daakg_autograd::Tensor;
 use daakg_index::scan::{normalize_rows_cosine, scan_block, top_k_of_scores, TopKSelector};
+use std::ops::Range;
 
 /// Number of query rows scored per blocked matmul. 64 query rows × 10k
 /// candidates × 4 B = 2.5 MB of scores per block — large enough to amortize
@@ -164,24 +165,45 @@ impl BatchedSimilarity {
     /// memory traffic is one candidate-matrix pass per `QUERY_BLOCK`
     /// queries instead of one per query.
     pub fn top_k_block(&self, queries: &[u32], k: usize) -> Vec<Vec<(u32, f32)>> {
-        let d = self.queries.cols();
         let mut out = Vec::with_capacity(queries.len());
         for chunk in queries.chunks(QUERY_BLOCK) {
             let panel = self.queries.gather_rows(chunk);
             let mut selectors: Vec<TopKSelector> =
                 chunk.iter().map(|_| TopKSelector::new(k)).collect();
-            scan_block(
+            self.scan_columns(
                 panel.as_slice(),
-                d,
                 chunk.len(),
-                self.candidates_t.as_slice(),
-                self.num_candidates(),
-                &self.identity_ids,
+                0..self.num_candidates(),
                 &mut selectors,
             );
             out.extend(selectors.into_iter().map(TopKSelector::into_sorted));
         }
         out
+    }
+
+    /// Scan the candidate columns `cols` against a gathered query panel
+    /// (`nq` normalized rows), pushing `(candidate id, score)` into one
+    /// selector per query. The range is scanned in place inside the one
+    /// transposed matrix, so disjoint ranges partition the corpus without
+    /// copying it, and every score is bitwise the whole-corpus score.
+    pub fn scan_columns(
+        &self,
+        panel: &[f32],
+        nq: usize,
+        cols: Range<usize>,
+        selectors: &mut [TopKSelector],
+    ) {
+        let n = self.num_candidates();
+        scan_block(
+            panel,
+            self.queries.cols(),
+            nq,
+            &self.candidates_t.as_slice()[cols.start..],
+            n,
+            cols.len(),
+            &self.identity_ids[cols],
+            selectors,
+        );
     }
 
     /// The complete descending ranking of one query (all `n₂` candidates).

@@ -45,6 +45,7 @@
 //! no reader ever transiently loses a delta entity.
 
 use crate::ingress::lock_recover;
+use crate::service::VersionedSnapshot;
 use daakg_autograd::Tensor;
 use daakg_embed::WarmStartConfig;
 use daakg_graph::DaakgError;
@@ -186,6 +187,7 @@ impl DeltaSlab {
             self.dim,
             nq,
             &self.ct,
+            self.len,
             self.len,
             &self.ids,
             &mut selectors,
@@ -367,12 +369,37 @@ impl DeltaBuffer {
         (inner.anchor == version && !inner.entries.is_empty()).then(|| inner.entries.clone())
     }
 
+    /// Publish a fold of the first `count` pending entries and commit it
+    /// in one step: `publish` runs under the buffer lock, and the
+    /// version it publishes is committed before the lock is released. An
+    /// upsert therefore lands either before the publish (and stays
+    /// pending against the folded version) or after the commit, and a
+    /// query pinned to the folded version waits in
+    /// [`DeltaBuffer::slab_for`] until that version's slab exists.
+    /// `None` (nothing committed) when `publish` refuses.
+    pub(crate) fn publish_fold(
+        &self,
+        count: usize,
+        publish: impl FnOnce() -> Option<VersionedSnapshot>,
+    ) -> Option<VersionedSnapshot> {
+        let mut inner = lock_recover(&self.inner);
+        let published = publish()?;
+        self.commit(&mut inner, count, published.version.get());
+        Some(published)
+    }
+
+    /// [`DeltaBuffer::publish_fold`]'s commit for an already published
+    /// version.
+    #[cfg(test)]
+    pub(crate) fn fold_committed(&self, count: usize, folded: u64) {
+        self.commit(&mut lock_recover(&self.inner), count, folded);
+    }
+
     /// Commit a fold of the first `count` pending entries into the newly
     /// published snapshot `folded`: keep the pre-fold slab for
     /// still-pinned readers, advance the anchor to the folded version,
     /// and rebuild the current slab from whatever was appended meanwhile.
-    pub(crate) fn fold_committed(&self, count: usize, folded: u64) {
-        let mut inner = lock_recover(&self.inner);
+    fn commit(&self, inner: &mut BufferInner, count: usize, folded: u64) {
         debug_assert!(count <= inner.entries.len());
         inner.prev = Some(Arc::clone(&inner.current));
         inner.entries.drain(..count);

@@ -25,20 +25,21 @@
 //! * [`joint`] — [`JointModel`], the orchestrating type whose
 //!   `train`/`fine_tune` drive the whole module,
 //! * [`service`] — [`AlignmentService`], the concurrent serve-while-train
-//!   layer: an atomic-swap registry of immutable, versioned snapshots;
-//!   queries run lock-free on whatever version they grab while training
-//!   publishes new versions. With a [`ServingConfig`] index, each
-//!   publication carries a lazily-built `daakg_index::IvfIndex` and
-//!   queries can run in sublinear [`QueryMode::Approx`],
+//!   layer: a registry of immutable, versioned snapshots behind one std
+//!   `RwLock`; queries run on whatever version they grab, never waiting
+//!   on training, while training publishes new versions. With a
+//!   [`ServingConfig`] index, each publication carries a lazily-built
+//!   `daakg_index::IvfIndex` and queries can run in sublinear
+//!   [`QueryMode::Approx`],
 //! * [`persist`] — crash-safe durability: the checksummed snapshot codec
 //!   on the `daakg-store` section format and [`DurableRegistry`], the
 //!   on-disk version registry that `AlignmentService::open` warm-restarts
 //!   from, skipping corrupt or torn files with typed diagnostics,
-//! * [`query`] — [`QueryExecutor`], the unified options-based query
-//!   surface both serving front-ends implement,
-//! * [`shard`] — [`ShardedService`], scatter-gather serving: the corpus
-//!   partitioned across N shards (each with its own slab and per-shard
-//!   IVF index), merged bitwise-identically to the unsharded scan,
+//! * [`shard`] — the one query engine (pin a version → scan or probe each
+//!   shard → merge → delta merge) and [`ShardedService`], which sets the
+//!   shard count: shards are column ranges of the snapshot's one
+//!   normalized candidate matrix (plus per-shard IVF indexes), merged
+//!   bitwise-identically to the unsharded scan,
 //! * [`ingress`] — the micro-batching ingress coalescing concurrent
 //!   single queries into batched kernel dispatches under a configurable
 //!   time/size window ([`IngressConfig`]) — with overload resilience:
@@ -54,6 +55,8 @@
 //!   deltas. Delta-merged answers are bitwise-equal to an exact scan
 //!   over the union corpus.
 
+#![forbid(unsafe_code)]
+
 pub mod batched;
 pub mod calibrate;
 pub mod config;
@@ -64,7 +67,6 @@ pub mod losses;
 pub mod mapping;
 pub mod mean_embed;
 pub mod persist;
-pub mod query;
 pub mod semi;
 pub mod service;
 pub mod shard;
@@ -81,7 +83,6 @@ pub use daakg_index::{IvfConfig, IvfIndex, QueryMode, QueryOptions};
 pub use ingress::{DegradePolicy, IngressConfig, IngressStats, PendingAnswer};
 pub use joint::{JointModel, LabeledMatches};
 pub use persist::{DurableRegistry, RecoveryReport};
-pub use query::QueryExecutor;
 pub use service::{
     AlignmentService, Served, ServiceHealth, ServingConfig, SnapshotRegistry, SnapshotVersion,
     Versioned, VersionedSnapshot,

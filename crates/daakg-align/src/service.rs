@@ -13,16 +13,17 @@
 //!   immutable [`Arc<AlignmentSnapshot>`] stamped with a monotonically
 //!   increasing [`SnapshotVersion`];
 //! * query methods ([`AlignmentService::rank`], [`AlignmentService::top_k`],
-//!   [`AlignmentService::batch_top_k`]) grab the current publication with
-//!   one atomic pointer load — no lock, no waiting on writers — and run on
-//!   that version for their whole duration. Every answer carries the
-//!   version it was computed on ([`Versioned`]), so callers can reason
-//!   about staleness and verify results against the exact snapshot that
+//!   [`AlignmentService::batch_top_k`]) clone the current publication
+//!   under a brief shared lock of the registry's `RwLock` — held only
+//!   for that clone, never while a model trains — and run on that
+//!   version for their whole duration. Every answer carries the version
+//!   it was computed on ([`Versioned`]), so callers can reason about
+//!   staleness and verify results against the exact snapshot that
 //!   produced them ([`AlignmentService::snapshot_at`]).
 //!
-//! Readers never block writers and writers never block readers: a reader
-//! that grabbed version `v` keeps using it while version `v+1` is being
-//! trained and published.
+//! Training never blocks queries: a reader that grabbed version `v`
+//! keeps using it while version `v+1` is being trained and published.
+//! Every query runs through the one engine in [`crate::shard`].
 //!
 //! With a [`ServingConfig`] carrying an IVF configuration, every
 //! publication is additionally stamped with it, so each version owns a
@@ -58,8 +59,8 @@ use daakg_index::{IvfConfig, QueryMode, QueryOptions};
 use daakg_telemetry::{EventKind, Telemetry, TelemetryConfig};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Serving-side configuration of an [`AlignmentService`]: whether
 /// published snapshots carry an IVF index, and which [`QueryMode`] the
@@ -305,85 +306,32 @@ struct LiveState {
     recovery: Option<DeltaRecovery>,
 }
 
-/// The versioned snapshot registry: atomic-swap publication, lock-free
-/// reads, retained history.
+/// The versioned snapshot registry: one std [`RwLock`] over the ordered
+/// publication history, whose last entry is the current version.
 ///
-/// # How the lock-free read works
-///
-/// `current` holds a raw pointer to a heap-allocated [`VersionedSnapshot`]
-/// entry owned by `history`. Entries are freed only by [`SnapshotRegistry::prune`]
-/// (`&mut self`, so no reader can be mid-dereference), by `Drop`, or by
-/// [`SnapshotRegistry::prune_shared`] — which first detaches entries from
-/// `history` and then waits until the reader counter proves no thread is
-/// inside the load→clone critical section. A reader does one `SeqCst`
-/// counter increment, one `SeqCst` pointer load, the dereference + `Arc`
-/// clone, and a decrement — never a lock — and the classic hard part of
-/// lock-free pointer swapping (a writer freeing the entry between the
-/// reader's load and its dereference) is excluded by that quiescence
-/// protocol.
-///
-/// Publishers serialize on the `history` mutex, which also makes version
-/// assignment and the `current` store one atomic unit: `current` always
-/// carries the highest version, and versions are dense and monotone even
-/// under concurrent publishes.
-///
-/// # Reclamation
+/// A read takes the shared lock just long enough to clone the newest
+/// entry (a version number and an [`Arc`]); a publish takes the exclusive
+/// lock to assign the next version and append. Readers keep their
+/// [`VersionedSnapshot`] for as long as they like, because the `Arc`, not
+/// the history, keeps a snapshot alive — pruning only drops the
+/// registry's own handles, so it never invalidates an in-flight reader.
+/// Versions are dense and monotone even under concurrent publishers.
 ///
 /// Publications are retained so [`SnapshotRegistry::get`] (and thus
-/// per-version oracle verification of live query traffic) works. Three
-/// reclamation paths bound the memory:
-///
-/// * [`SnapshotRegistry::set_retention`] — an at-publish policy: each
-///   publish best-effort frees everything but the newest `keep` versions;
-/// * [`SnapshotRegistry::prune_shared`] — the same best-effort shared
-///   reclamation on demand (`&self`, usable through `Arc`): stale entries
-///   are detached under the mutex, then freed once the reader counter
-///   proves no thread is inside the load→clone critical section
-///   (quiescence; bounded wait, re-attaches and reports 0 on timeout);
-/// * [`SnapshotRegistry::prune`] — the unconditional `&mut self` path.
+/// per-version oracle verification of live query traffic) works.
+/// [`SnapshotRegistry::prune`] bounds the history on demand, and
+/// [`SnapshotRegistry::set_retention`] applies it after every publish.
 pub struct SnapshotRegistry {
-    /// Always points at the entry of the latest publication (never null —
-    /// construction publishes version 1).
-    current: AtomicPtr<VersionedSnapshot>,
-    /// Every publication, in version order. The registry owns these
-    /// allocations (created with `Box::into_raw`, freed with
-    /// `Box::from_raw` in `prune`/`Drop`); raw ownership — instead of
-    /// `Vec<Box<_>>` — keeps every entry at a stable address that is never
-    /// re-asserted as a unique `Box`, so the pointers handed to `current`
-    /// stay valid unconditionally.
-    history: Mutex<Vec<*mut VersionedSnapshot>>,
-    /// Readers currently between the `current` pointer load and the end of
-    /// the entry dereference — the only window in which a reader may hold
-    /// a raw pointer to an entry that is no longer the newest.
-    active_readers: AtomicUsize,
+    /// Every retained publication, ascending by version; never empty.
+    history: RwLock<Vec<VersionedSnapshot>>,
     /// Publications to keep at publish time; 0 = retain everything.
     retention: AtomicUsize,
 }
 
-// SAFETY: the raw pointer in `current` always refers to an entry owned by
-// `history`; entries are immutable after publication (only `Arc::clone` and
-// field reads happen through the pointer), and are only freed (a) under
-// `&mut self` / `Drop`, which exclude other references, or (b) by
-// `prune_shared` after detaching them from `history` *and* observing the
-// reader counter at zero, which proves no thread still holds a raw pointer
-// into the detached set. All shared mutation goes through the atomics and
-// the mutex.
-unsafe impl Send for SnapshotRegistry {}
-unsafe impl Sync for SnapshotRegistry {}
-
 impl SnapshotRegistry {
     /// A registry whose first publication (version 1) is `initial`.
     pub fn new(initial: AlignmentSnapshot) -> Self {
-        let ptr = Box::into_raw(Box::new(VersionedSnapshot {
-            version: SnapshotVersion(1),
-            snapshot: Arc::new(initial),
-        }));
-        Self {
-            current: AtomicPtr::new(ptr),
-            history: Mutex::new(vec![ptr]),
-            active_readers: AtomicUsize::new(0),
-            retention: AtomicUsize::new(0),
-        }
+        Self::from_entries(vec![(1, initial)])
     }
 
     /// A registry re-seeded from recovered `(version, snapshot)` pairs
@@ -398,29 +346,32 @@ impl SnapshotRegistry {
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "entries must be ascending by version"
         );
-        let history: Vec<*mut VersionedSnapshot> = entries
+        let history = entries
             .into_iter()
-            .map(|(version, snapshot)| {
-                Box::into_raw(Box::new(VersionedSnapshot {
-                    version: SnapshotVersion(version),
-                    snapshot: Arc::new(snapshot),
-                }))
+            .map(|(version, snapshot)| VersionedSnapshot {
+                version: SnapshotVersion(version),
+                snapshot: Arc::new(snapshot),
             })
             .collect();
         Self {
-            current: AtomicPtr::new(*history.last().expect("checked non-empty")),
-            history: Mutex::new(history),
-            active_readers: AtomicUsize::new(0),
+            history: RwLock::new(history),
             retention: AtomicUsize::new(0),
         }
     }
 
+    /// The history under the shared lock. A poisoned lock is recovered:
+    /// every write leaves the history sorted and non-empty.
+    fn read(&self) -> RwLockReadGuard<'_, Vec<VersionedSnapshot>> {
+        self.history.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<VersionedSnapshot>> {
+        self.history.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publish `snapshot` as the new current version and return its stamp.
-    ///
-    /// Publishers serialize on an internal mutex; readers are never
-    /// blocked and observe the swap atomically. When a retention policy is
-    /// set ([`SnapshotRegistry::set_retention`]), older publications are
-    /// best-effort reclaimed afterwards.
+    /// When a retention policy is set ([`SnapshotRegistry::set_retention`]),
+    /// older publications are pruned afterwards.
     pub fn publish(&self, snapshot: AlignmentSnapshot) -> SnapshotVersion {
         self.publish_pinned(snapshot).version
     }
@@ -430,33 +381,8 @@ impl SnapshotRegistry {
     /// (e.g. to keep training on it) use this instead of re-reading
     /// `current`, which a concurrent publisher may already have advanced.
     pub fn publish_pinned(&self, snapshot: AlignmentSnapshot) -> VersionedSnapshot {
-        let published = {
-            let mut history = self.history.lock().expect("registry mutex poisoned");
-            // SAFETY: entries in `history` stay allocated while `&self`
-            // exists.
-            let last = unsafe { (*history.last().expect("never empty")).as_ref() }
-                .expect("history pointers are non-null");
-            let version = SnapshotVersion(last.version.0 + 1);
-            let ptr = Box::into_raw(Box::new(VersionedSnapshot {
-                version,
-                snapshot: Arc::new(snapshot),
-            }));
-            history.push(ptr);
-            // SeqCst (not just Release) is load-bearing: `prune_shared`'s
-            // quiescence argument needs this store in the single SC total
-            // order, so a reader whose counter increment lands after the
-            // pruner's zero-observation is guaranteed to load THIS (or a
-            // newer) pointer rather than a stale, about-to-be-freed one.
-            // It also releases the entry contents to readers as usual.
-            self.current.store(ptr, Ordering::SeqCst);
-            // SAFETY: just allocated above; cloning under the mutex.
-            unsafe { (*ptr).clone() }
-        };
-        let keep = self.retention.load(Ordering::Relaxed);
-        if keep > 0 {
-            self.prune_shared(keep);
-        }
-        published
+        self.publish_if(snapshot, None)
+            .expect("an unconditional publish always lands")
     }
 
     /// Publish `snapshot` only if the latest version is still `expected`
@@ -469,72 +395,49 @@ impl SnapshotRegistry {
         snapshot: AlignmentSnapshot,
         expected: SnapshotVersion,
     ) -> Option<VersionedSnapshot> {
+        self.publish_if(snapshot, Some(expected))
+    }
+
+    fn publish_if(
+        &self,
+        snapshot: AlignmentSnapshot,
+        expected: Option<SnapshotVersion>,
+    ) -> Option<VersionedSnapshot> {
         let published = {
-            let mut history = self.history.lock().expect("registry mutex poisoned");
-            // SAFETY: entries in `history` stay allocated while `&self`
-            // exists.
-            let last = unsafe { (*history.last().expect("never empty")).as_ref() }
-                .expect("history pointers are non-null");
-            if last.version != expected {
+            let mut history = self.write();
+            let latest = history.last().expect("never empty").version;
+            if expected.is_some_and(|v| v != latest) {
                 return None;
             }
-            let version = SnapshotVersion(last.version.0 + 1);
-            let ptr = Box::into_raw(Box::new(VersionedSnapshot {
-                version,
+            let entry = VersionedSnapshot {
+                version: SnapshotVersion(latest.0 + 1),
                 snapshot: Arc::new(snapshot),
-            }));
-            history.push(ptr);
-            // SeqCst: same quiescence argument as `publish_pinned`.
-            self.current.store(ptr, Ordering::SeqCst);
-            // SAFETY: just allocated above; cloning under the mutex.
-            unsafe { (*ptr).clone() }
+            };
+            history.push(entry.clone());
+            entry
         };
         let keep = self.retention.load(Ordering::Relaxed);
         if keep > 0 {
-            self.prune_shared(keep);
+            self.prune(keep);
         }
         Some(published)
     }
 
-    /// The latest publication — one atomic load plus one `Arc` clone; never
-    /// blocks, even while a publish is in flight.
+    /// The latest publication: a shared-lock read and one `Arc` clone.
     pub fn current(&self) -> VersionedSnapshot {
-        // SeqCst on the counter updates and the pointer load orders this
-        // critical section against `prune_shared`'s detach-then-observe
-        // protocol (see there).
-        self.active_readers.fetch_add(1, Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: `ptr` was stored by `new`/`publish`. Either the entry is
-        // still in `history` (not freed while `&self` exists), or a
-        // concurrent `prune_shared` detached it — in which case it frees
-        // the entry only after observing `active_readers == 0`, which
-        // cannot happen before the decrement below.
-        let out = unsafe { (*ptr).clone() };
-        self.active_readers.fetch_sub(1, Ordering::SeqCst);
-        out
+        self.read().last().expect("never empty").clone()
     }
 
     /// The latest published version.
     pub fn version(&self) -> SnapshotVersion {
-        self.active_readers.fetch_add(1, Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: as in `current`.
-        let version = unsafe { (*ptr).version };
-        self.active_readers.fetch_sub(1, Ordering::SeqCst);
-        version
+        self.read().last().expect("never empty").version
     }
 
     /// A specific retained publication, if it has not been pruned.
     pub fn get(&self, version: SnapshotVersion) -> Option<VersionedSnapshot> {
-        let history = self.history.lock().expect("registry mutex poisoned");
-        // History is sorted by version (publishes serialize on the mutex),
-        // so binary search is correct both before and after pruning.
-        // SAFETY: entries stay allocated while `&self` exists.
-        let idx = history
-            .binary_search_by_key(&version, |&p| unsafe { (*p).version })
-            .ok()?;
-        // SAFETY: entry still attached to `history`, cloned under the mutex.
-        Some(unsafe { (*history[idx]).clone() })
+        let history = self.read();
+        let idx = history.binary_search_by_key(&version, |e| e.version).ok()?;
+        Some(history[idx].clone())
     }
 
     /// [`SnapshotRegistry::get`] with a typed diagnosis instead of
@@ -557,110 +460,33 @@ impl SnapshotRegistry {
 
     /// Number of retained publications.
     pub fn retained(&self) -> usize {
-        self.history.lock().expect("registry mutex poisoned").len()
+        self.read().len()
     }
 
     /// Set the at-publish retention policy: after each publish, keep only
     /// the newest `keep` publications (0 restores unbounded retention).
-    /// Reclamation is the best-effort [`SnapshotRegistry::prune_shared`].
     pub fn set_retention(&self, keep: usize) {
         self.retention.store(keep, Ordering::Relaxed);
     }
 
-    /// Best-effort shared reclamation: drop all publications except the
-    /// newest `keep` (at least the current one is always kept) without
-    /// requiring exclusive access. Returns how many entries were freed.
-    ///
-    /// The protocol: stale entries are *detached* from `history` under the
-    /// mutex (so `get`/`publish` can no longer reach them and `current`
-    /// keeps pointing into the retained suffix), then freed once
-    /// `active_readers` is observed at zero. A reader that loaded the
-    /// `current` pointer before the newest publish is still inside its
-    /// load→clone critical section and keeps the counter nonzero; once the
-    /// counter hits zero every such reader has finished, and readers
-    /// entering afterwards can only observe the retained current entry. If
-    /// readers never quiesce within the bounded wait, the detached entries
-    /// are re-attached and 0 is returned — memory is reclaimed on a later
-    /// attempt instead of blocking the publisher indefinitely.
-    pub fn prune_shared(&self, keep: usize) -> usize {
-        let stale: Vec<*mut VersionedSnapshot> = {
-            let mut history = self.history.lock().expect("registry mutex poisoned");
+    /// Drop all retained publications except the newest `keep` (at least
+    /// the current one is always kept) and return how many were dropped.
+    /// Readers holding a dropped version keep it alive through their own
+    /// `Arc` until they finish.
+    pub fn prune(&self, keep: usize) -> usize {
+        let stale: Vec<VersionedSnapshot> = {
+            let mut history = self.write();
             let keep = keep.max(1).min(history.len());
             let drop_until = history.len() - keep;
             history.drain(..drop_until).collect()
         };
-        if stale.is_empty() {
-            return 0;
-        }
-        // Quiescence wait: bounded so a stuck/descheduled reader can delay
-        // reclamation but never deadlock a publisher.
-        let mut spins = 0usize;
-        while self.active_readers.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-            spins += 1;
-            if spins > 10_000 {
-                let mut history = self.history.lock().expect("registry mutex poisoned");
-                // Re-attach at each entry's sorted position: a concurrent
-                // timed-out prune may already have re-attached a *newer*
-                // detached run, so front-insertion could leave `history`
-                // unsorted and break `get`'s binary search.
-                for p in stale {
-                    // SAFETY: detached entries are still allocated (owned
-                    // by this call until re-attached or freed).
-                    let v = unsafe { (*p).version };
-                    let idx = history.partition_point(|&q| unsafe { (*q).version } < v);
-                    history.insert(idx, p);
-                }
-                return 0;
-            }
-        }
-        let freed = stale.len();
-        for ptr in stale {
-            // SAFETY: detached from `history` (unreachable via `get` /
-            // `publish` / future `current` loads) and the zero reader
-            // count proves no in-flight reader still holds the raw
-            // pointer. Each pointer came from `Box::into_raw` and leaves
-            // the registry exactly once.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-        freed
-    }
-
-    /// Drop all retained publications except the newest `keep` (at least
-    /// the current one is always kept).
-    ///
-    /// Requires `&mut self`: exclusive access proves no reader is between
-    /// its pointer load and dereference, so freeing old entries is
-    /// unconditionally sound (no quiescence wait needed).
-    pub fn prune(&mut self, keep: usize) {
-        let history = self.history.get_mut().expect("registry mutex poisoned");
-        let keep = keep.max(1).min(history.len());
-        for ptr in history.drain(..history.len() - keep) {
-            // SAFETY: `&mut self` excludes all readers; `ptr` came from
-            // `Box::into_raw` and is dropped exactly once (it leaves the
-            // vec here). `current` points at the last entry, which is
-            // always in the kept suffix.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
-    }
-}
-
-impl Drop for SnapshotRegistry {
-    fn drop(&mut self) {
-        for ptr in self
-            .history
-            .get_mut()
-            .expect("registry mutex poisoned")
-            .drain(..)
-        {
-            // SAFETY: as in `prune` — exclusive access, single free.
-            drop(unsafe { Box::from_raw(ptr) });
-        }
+        // `stale` is freed here, outside the lock.
+        stale.len()
     }
 }
 
 /// The concurrent alignment service: owns the KG pair and the
-/// [`JointModel`], serves lock-free versioned queries while training.
+/// [`JointModel`], serves versioned queries while training.
 ///
 /// The service is `Send + Sync`; share it across threads as
 /// `Arc<AlignmentService>` (or plain `&` borrows under
@@ -692,6 +518,9 @@ pub struct AlignmentService {
     recovery: Option<RecoveryReport>,
     /// The live-update subsystem (delta buffer + compactor), when enabled.
     live: Option<LiveState>,
+    /// Scatter-gather shards each query runs over: 1 unless set by
+    /// [`crate::ShardedService::new`].
+    pub(crate) shards: usize,
 }
 
 impl fmt::Debug for AlignmentService {
@@ -743,6 +572,7 @@ impl AlignmentService {
             durable: Arc::new(PersistState::new(None, telem)),
             recovery: None,
             live: None,
+            shards: 1,
         };
         svc.note_publish(svc.registry.current().version.get());
         Ok(svc)
@@ -810,6 +640,7 @@ impl AlignmentService {
             durable: Arc::new(PersistState::new(Some(store), telem)),
             recovery: Some(report),
             live: None,
+            shards: 1,
         };
         if fresh {
             let cur = svc.registry.current();
@@ -911,8 +742,8 @@ impl AlignmentService {
         self.registry.version()
     }
 
-    /// The latest published snapshot with its version — the lock-free grab
-    /// every query method starts from. Hold the returned `Arc` to pin that
+    /// The latest published snapshot with its version — the grab every
+    /// query method starts from. Hold the returned `Arc` to pin that
     /// version for as long as needed.
     pub fn current(&self) -> VersionedSnapshot {
         self.registry.current()
@@ -940,17 +771,12 @@ impl AlignmentService {
         self.registry.retained()
     }
 
-    /// Drop all but the newest `keep` retained versions. With exclusive
-    /// registry access this is the unconditional free; when the registry
-    /// is shared with a live compactor thread it falls back to the
-    /// quiescence-protocol shared prune.
-    pub fn prune(&mut self, keep: usize) {
-        match Arc::get_mut(&mut self.registry) {
-            Some(registry) => registry.prune(keep),
-            None => {
-                self.registry.prune_shared(keep);
-            }
-        }
+    /// Drop all but the newest `keep` retained versions (at least the
+    /// current one is always kept) and return how many were dropped.
+    /// Works through a shared `&self`, also while the live compactor
+    /// holds the registry and readers are in flight.
+    pub fn prune(&self, keep: usize) -> usize {
+        self.registry.prune(keep)
     }
 
     /// [`AlignmentService::prune`] plus on-disk garbage collection: drop
@@ -958,7 +784,7 @@ impl AlignmentService {
     /// persisted files (each removed crash-safely; at least the newest
     /// on-disk version is always kept). Returns the versions whose files
     /// were deleted — empty for a non-durable service.
-    pub fn prune_with_store(&mut self, keep: usize) -> Result<Vec<u64>, DaakgError> {
+    pub fn prune_with_store(&self, keep: usize) -> Result<Vec<u64>, DaakgError> {
         self.prune(keep);
         match &self.durable.store {
             Some(store) => store.gc(keep),
@@ -966,18 +792,11 @@ impl AlignmentService {
         }
     }
 
-    /// Best-effort shared reclamation of all but the newest `keep`
-    /// versions — usable through a shared `Arc<AlignmentService>` (see
-    /// [`SnapshotRegistry::prune_shared`] for the quiescence protocol).
-    /// Returns how many versions were freed.
-    pub fn prune_shared(&self, keep: usize) -> usize {
-        self.registry.prune_shared(keep)
-    }
-
     /// Bound retained history for a long-running shared service: after
-    /// each publish, only the newest `keep` versions are kept (0 restores
-    /// unbounded retention, the default — full history is what enables
-    /// per-version verification of live traffic).
+    /// each publish, [`AlignmentService::prune`] keeps only the newest
+    /// `keep` versions (0 restores unbounded retention, the default —
+    /// full history is what enables per-version verification of live
+    /// traffic).
     pub fn set_retention(&self, keep: usize) {
         self.registry.set_retention(keep);
     }
@@ -1007,55 +826,26 @@ impl AlignmentService {
     /// exhaustive scan or an IVF probe (in `Approx` mode the ranking
     /// covers the candidates of the `nprobe` probed inverted lists — the
     /// unscanned tail is absent, not approximated, and `nprobe == nlist`
-    /// reproduces the exact answer). Runs lock-free on the version it
-    /// grabs.
+    /// reproduces the exact answer). Never waits on training.
     pub fn query(&self, e1: u32, opts: QueryOptions) -> Result<Versioned<Ranking>, DaakgError> {
-        self.check_query(e1)?;
-        let nprobe = self.resolve_mode(opts.mode)?;
-        let telem = self.telem();
-        let cur = self.current();
-        let mut value = match (opts.k, nprobe) {
-            (None, None) => {
-                let _span = telem.exact_scan.span();
-                cur.snapshot.rank_entities(e1)
-            }
-            (Some(k), None) => {
-                let _span = telem.exact_scan.span();
-                cur.snapshot.top_k_entities(e1, k)
-            }
-            (None, Some(nprobe)) => cur
-                .snapshot
-                .rank_entities_approx_observed(e1, nprobe, &telem.search)
-                .expect("validated: index configured"),
-            (Some(k), Some(nprobe)) => cur
-                .snapshot
-                .top_k_entities_approx_observed(e1, k, nprobe, &telem.search)
-                .expect("validated: index configured"),
-        };
-        let mut deltas_merged = 0u32;
-        let n2 = cur.snapshot.entity_counts().1;
-        if let Some(slab) = self.live_slab_for(cur.version.get()) {
-            let _span = telem.delta_merge.span();
-            let q = cur.snapshot.entity_engine().normalized_query(e1);
-            value = slab
-                .merge_into(q, 1, opts.k, n2, vec![value])
-                .pop()
-                .expect("one query in, one ranking out");
-            deltas_merged = slab.len() as u32;
-        }
+        let answer = self.query_batch(&[e1], opts)?;
         Ok(Versioned {
-            version: cur.version,
-            value,
-            deltas_merged,
+            version: answer.version,
+            value: answer
+                .value
+                .into_iter()
+                .next()
+                .expect("one query in, one ranking out"),
+            deltas_merged: answer.deltas_merged,
         })
     }
 
     /// The unified batch entry point: answer every query under `opts`,
-    /// all on **one** version (a single grab covers the whole batch),
-    /// sharded across worker threads via `daakg-parallel`. Exact shards
-    /// run the blocked panel scan; approximate shards run one IVF probe
-    /// per query (already inside a worker shard, so the index's own batch
-    /// entry point is deliberately not nested here).
+    /// all on **one** version (a single grab covers the whole batch).
+    /// This is the one query engine (see [`crate::shard`]): it
+    /// scatters over the service's shards — a lone shard splits the batch
+    /// across `daakg-parallel` workers instead — merges per-shard top-k
+    /// lists, then merges the live delta slab.
     pub fn query_batch(
         &self,
         queries: &[u32],
@@ -1065,52 +855,17 @@ impl AlignmentService {
             self.check_query(q)?;
         }
         let nprobe = self.resolve_mode(opts.mode)?;
-        let telem = self.telem();
         let cur = self.current();
-        let snap = &cur.snapshot;
-        // Build the index before fanning out, so shards never race the
-        // one-time construction inside their query loops.
-        if nprobe.is_some() {
-            snap.ivf_index();
-        }
-        let shards = daakg_parallel::num_threads();
-        let mut value: Vec<Ranking> = Vec::with_capacity(queries.len());
-        for shard in
-            daakg_parallel::par_map_ranges(queries.len(), shards, |r| match (opts.k, nprobe) {
-                (Some(k), None) => {
-                    let _span = telem.exact_scan.span();
-                    snap.top_k_entities_block(&queries[r], k)
-                }
-                (None, None) => {
-                    let _span = telem.exact_scan.span();
-                    queries[r].iter().map(|&q| snap.rank_entities(q)).collect()
-                }
-                (k, Some(nprobe)) => queries[r]
-                    .iter()
-                    .map(|&q| match k {
-                        Some(k) => snap
-                            .top_k_entities_approx_observed(q, k, nprobe, &telem.search)
-                            .expect("validated: index configured"),
-                        None => snap
-                            .rank_entities_approx_observed(q, nprobe, &telem.search)
-                            .expect("validated: index configured"),
-                    })
-                    .collect(),
-            })
-        {
-            value.extend(shard);
-        }
-        let mut deltas_merged = 0u32;
-        let n2 = snap.entity_counts().1;
-        if let Some(slab) = self.live_slab_for(cur.version.get()) {
-            let _span = telem.delta_merge.span();
-            let panel = snap
-                .entity_engine()
-                .normalized_queries()
-                .gather_rows(queries);
-            value = slab.merge_into(panel.as_slice(), queries.len(), opts.k, n2, value);
-            deltas_merged = slab.len() as u32;
-        }
+        let slab = self.live_slab_for(cur.version.get());
+        let (value, deltas_merged) = crate::shard::answer(
+            &cur,
+            self.shards,
+            queries,
+            opts.k,
+            nprobe,
+            self.telem(),
+            slab,
+        );
         Ok(Versioned {
             version: cur.version,
             value,
@@ -1119,8 +874,7 @@ impl AlignmentService {
     }
 
     /// Rank all right entities for `e1`, descending, on the current
-    /// version, in the service's default [`QueryMode`]. Runs lock-free on
-    /// the version it grabs.
+    /// version, in the service's default [`QueryMode`].
     pub fn rank(&self, e1: u32) -> Result<Versioned<Vec<(u32, f32)>>, DaakgError> {
         self.query(e1, QueryOptions::rank().with_mode(self.serving.mode))
     }
@@ -1579,10 +1333,12 @@ fn fold_once(
     snap.set_index_config(index.cloned());
     // Compare-and-publish: if training published while the fold was being
     // built, the fold is based on a superseded corpus — drop it and let
-    // the next pass re-anchor. Entries stay pending either way.
+    // the next pass re-anchor. Entries stay pending either way. The buffer
+    // commits under the same lock, so no reader of the folded version and
+    // no acknowledged upsert ever falls between publish and commit.
     let published = {
         let _span = telem.republish.span();
-        registry.publish_if_current(snap, cur.version)
+        buffer.publish_fold(count, || registry.publish_if_current(snap, cur.version))
     };
     let Some(published) = published else {
         return Ok(None);
@@ -1591,11 +1347,9 @@ fn fold_once(
     telem.event(EventKind::SnapshotPublish {
         version: published.version.get(),
     });
+    // A persist failure surfaces below, after the bookkeeping: the publish
+    // stands (readers already serve the folded corpus).
     let persisted = durable.persist(&published);
-    // Commit before surfacing any persist failure: the publish stands
-    // (readers already serve the folded corpus), so the buffer must
-    // advance either way.
-    buffer.fold_committed(count, published.version.get());
     telem.compactions.incr();
     telem.event(EventKind::FoldDone {
         version: published.version.get(),
@@ -1810,7 +1564,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_newest_versions_only() {
-        let mut svc = example_service();
+        let svc = example_service();
         let labels = example_labels(&svc);
         for _ in 0..3 {
             svc.align_rounds(&labels, 1).unwrap();
@@ -1895,14 +1649,15 @@ mod tests {
         assert!(svc.snapshot_at(SnapshotVersion(5)).is_some());
         assert!(svc.snapshot_at(SnapshotVersion(1)).is_none());
         svc.rank(0).unwrap();
-        // Explicit on-demand shared prune.
-        assert_eq!(svc.prune_shared(1), 1);
+        // Explicit on-demand prune through the shared handle.
+        assert_eq!(svc.prune(1), 1);
         assert_eq!(svc.retained_versions(), 1);
     }
 
-    /// Stress the quiescence protocol: readers hammer `current()` while a
-    /// writer publishes with a tight retention policy; every grabbed
-    /// snapshot must stay fully usable and history stays bounded.
+    /// Readers hammer `current()` while a writer publishes with a tight
+    /// retention policy; every grabbed snapshot must stay fully usable
+    /// (its `Arc` outlives the pruned history entry) and history stays
+    /// bounded.
     #[test]
     fn shared_pruning_never_invalidates_in_flight_readers() {
         let svc = example_service();
@@ -1940,16 +1695,44 @@ mod tests {
             }
         });
         assert_eq!(svc.version().get(), 7);
-        // Bounded: retention-2 plus at most a few transiently-skipped
-        // prunes (the quiescence wait is best-effort under live readers).
-        assert!(
-            svc.retained_versions() <= 4,
-            "history not bounded: {}",
-            svc.retained_versions()
-        );
-        let before = svc.retained_versions();
-        assert_eq!(svc.prune_shared(1), before - 1);
+        // Every publish pruned to the retention bound, readers or not.
+        assert_eq!(svc.retained_versions(), 2);
+        assert_eq!(svc.prune(1), 1);
         assert_eq!(svc.retained_versions(), 1);
+    }
+
+    /// `prune` is exact on a live service, whose compactor thread shares
+    /// the registry, even while readers are in flight: it leaves exactly
+    /// `keep` versions and reports how many it dropped.
+    #[test]
+    fn prune_with_a_running_compactor_keeps_exactly_keep() {
+        let mut svc = example_service();
+        svc.enable_live(manual_live()).unwrap();
+        let labels = example_labels(&svc);
+        for _ in 0..4 {
+            svc.align_rounds(&labels, 1).unwrap();
+        }
+        assert_eq!(svc.retained_versions(), 5);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let reading = std::sync::Barrier::new(2);
+        let svc = &svc;
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                assert_eq!(svc.top_k(0, 2).unwrap().value.len(), 2);
+                reading.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    assert_eq!(svc.top_k(0, 2).unwrap().value.len(), 2);
+                }
+            });
+            reading.wait();
+            assert_eq!(svc.prune(2), 3);
+            assert_eq!(svc.retained_versions(), 2);
+            stop.store(true, Ordering::Relaxed);
+            reader.join().unwrap();
+        });
+        assert!(svc.snapshot_at(SnapshotVersion(3)).is_none());
+        assert!(svc.snapshot_at(SnapshotVersion(4)).is_some());
+        assert_eq!(svc.current().version.get(), 5);
     }
 
     fn example_indexed_service() -> AlignmentService {
@@ -2114,7 +1897,7 @@ mod tests {
 
     #[test]
     fn snapshot_at_checked_diagnoses_pruned_vs_never_published() {
-        let mut svc = example_service();
+        let svc = example_service();
         let labels = example_labels(&svc);
         for _ in 0..3 {
             svc.align_rounds(&labels, 1).unwrap();
@@ -2259,7 +2042,7 @@ mod tests {
     #[test]
     fn prune_with_store_garbage_collects_snapshot_files() {
         let td = daakg_store::TestDir::new("svc-gc");
-        let mut svc = AlignmentService::open(
+        let svc = AlignmentService::open(
             tiny_cfg(),
             ServingConfig::default(),
             Arc::new(example_dbpedia()),
@@ -2277,7 +2060,7 @@ mod tests {
         let reg = DurableRegistry::open(td.path()).unwrap();
         assert_eq!(reg.versions().unwrap(), vec![3, 4]);
         // Non-durable services GC nothing but still prune memory.
-        let mut plain = example_service();
+        let plain = example_service();
         plain.align_rounds(&labels, 1).unwrap();
         assert_eq!(plain.prune_with_store(1).unwrap(), Vec::<u64>::new());
         assert_eq!(plain.retained_versions(), 1);
@@ -2907,14 +2690,16 @@ mod tests {
                 .map(|(_, h)| h.count())
                 .unwrap_or(0)
         };
-        assert_eq!(hist("stage_exact_scan_ns"), 1);
+        // One shard: each query is one scatter unit and no merge.
+        assert_eq!(hist("stage_shard_scan_ns"), 2);
+        assert_eq!(hist("stage_shard_merge_ns"), 0);
         assert_eq!(hist("stage_ivf_probe_ns"), 1);
         assert_eq!(hist("stage_ivf_scan_ns"), 1);
 
         let text = t.render_prometheus();
         assert!(text.contains("daakg_snapshot_publish_total 1"), "{text}");
         assert!(
-            text.contains("daakg_stage_exact_scan_seconds_count 1"),
+            text.contains("daakg_stage_shard_scan_seconds_count 2"),
             "{text}"
         );
         let json = t.render_json();

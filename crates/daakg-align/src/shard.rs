@@ -1,428 +1,217 @@
-//! Sharded scatter-gather serving: [`ShardedService`].
+//! The query engine and its sharded front-end, [`ShardedService`].
 //!
-//! One [`AlignmentService`] equals one corpus
-//! scanned as a single slab. This module partitions the right-KG corpus
-//! across `N` shards — each holding its own copy of the snapshot's
-//! normalized candidate rows (transposed for the scan kernel) and its own
-//! per-shard IVF index — and answers queries by scattering the scan
-//! across shards via [`daakg_parallel::par_map_ranges`], then merging the
-//! per-shard candidates with the bounded-heap
-//! [`TopKSelector`].
+//! Every query of an [`AlignmentService`] runs through one engine,
+//! `answer`: pin a version, scatter over that version's shards, merge
+//! the per-shard top-k lists through the bounded-heap [`TopKSelector`],
+//! then merge the live delta slab once. A shard is a contiguous column
+//! range `[base, base + len)` of the one transposed candidate matrix the
+//! snapshot's [`BatchedSimilarity`] already holds — shards scan it in
+//! place, so the corpus is never copied per shard. In `Approx` mode each
+//! shard probes its own IVF index, built once per version and kept on the
+//! snapshot. An unsharded service is the 1-shard case: the one shard
+//! splits a batch across `daakg-parallel` workers instead, and probes the
+//! snapshot's own (possibly persisted) index.
 //!
 //! # Bitwise-identical exact answers
 //!
 //! Sharded `Exact` results reproduce the unsharded scan **bitwise, ties
 //! included**, by construction:
 //!
-//! * row normalization is per-row, so slicing the already-normalized
-//!   candidate matrix yields exactly the rows the unsharded engine scans;
+//! * row normalization is per-row, so a column range of the normalized
+//!   candidate matrix holds exactly the rows the unsharded engine scans;
 //! * the scan kernel computes each (query, candidate) dot product by the
 //!   same sequential accumulation over the depth dimension regardless of
 //!   the candidate's column position, so per-shard scores equal unsharded
 //!   scores bitwise;
-//! * each shard scans with the candidates' **global** ids threaded
-//!   through the kernel's id-remap slice, and
-//!   [`TopKSelector`] selection is
-//!   push-order-independent under *(score desc, id asc)* — so merging the
-//!   per-shard top-k lists through one more selector yields exactly the
-//!   unsharded top-k (every globally retained candidate is necessarily in
-//!   its own shard's top-k).
+//! * each shard pushes the candidates' **global** ids, and
+//!   [`TopKSelector`] selection is push-order-independent under *(score
+//!   desc, id asc)* — so merging the per-shard top-k lists through one
+//!   more selector yields exactly the unsharded top-k (every globally
+//!   retained candidate is necessarily in its own shard's top-k).
 //!
 //! # One coherent version per request
 //!
-//! Every query pins **one** [`VersionedSnapshot`] up front and resolves
-//! the shard set for exactly that version; concurrent publishes never mix
-//! shard slabs of different versions into one answer (the shard-set cache
-//! is keyed by version, and a request that pinned version `v` uses a set
-//! built from `v`'s snapshot even while a newer set is being installed).
+//! Every request pins **one** [`VersionedSnapshot`] up front and reads
+//! the shard ranges, per-shard indexes and delta slab of exactly that
+//! version; concurrent publishes never mix versions into one answer.
 //!
 //! With a [`crate::IngressConfig`], a micro-batching ingress sits in
 //! front of the single-query path: see [`crate::ingress`].
 
-use crate::ingress::{lock_recover, Ingress, IngressConfig, IngressStats, PendingAnswer};
+use crate::batched::BatchedSimilarity;
+use crate::delta::DeltaSlab;
+use crate::ingress::{Ingress, IngressConfig, IngressStats, PendingAnswer};
 use crate::service::{
     AlignmentService, Ranking, Served, ServiceHealth, Versioned, VersionedSnapshot,
 };
-use crate::snapshot::AlignmentSnapshot;
-use daakg_autograd::Tensor;
+use crate::telem::ServiceTelemetry;
 use daakg_graph::DaakgError;
-use daakg_index::{scan_block, IvfIndex, QueryMode, QueryOptions, SearchSpans, TopKSelector};
-use daakg_telemetry::{HistogramHandle, Telemetry};
-use std::sync::{Arc, Mutex};
+use daakg_index::{QueryMode, QueryOptions, TopKSelector};
+use daakg_telemetry::Telemetry;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Queries per gathered panel of the sharded scan — the same blocking the
-/// unsharded engine uses, so panel shapes (and thus cache behavior) match.
+/// Queries per gathered panel block of the exact scan: 64 rows keep the
+/// panel L1-resident while the candidate columns stream past.
 const QUERY_BLOCK: usize = 64;
 
-/// One shard's slice of the corpus: a transposed copy of its normalized
-/// candidate rows, the global ids those columns map back to, and the
-/// shard-local IVF index when the service is configured for approximate
-/// serving.
-struct ShardSlab {
-    /// Global id of this shard's first candidate.
-    base: usize,
-    /// Number of candidates in this shard.
-    len: usize,
-    /// The shard's normalized candidate block, transposed: `d` rows of
-    /// `len` floats — the layout [`scan_block`] consumes.
-    ct: Vec<f32>,
-    /// Global candidate ids of the shard's columns
-    /// (`base..base + len`), threaded through the kernel's id remap so
-    /// selectors hold global ids with globally consistent tie-breaking.
-    ids: Vec<u32>,
-    /// Shard-local IVF index over the shard's rows; its search results
-    /// are shard-local ids offset by `base` at merge time.
-    index: Option<Arc<IvfIndex>>,
-}
-
-impl ShardSlab {
-    fn build(snap: &AlignmentSnapshot, base: usize, len: usize) -> Self {
-        let engine = snap.entity_engine();
-        let nc = engine.normalized_candidates();
-        let d = nc.cols();
-        let src = nc.as_slice();
-        // Transpose the shard's rows into the kernel's column-major-block
-        // layout. Normalization is per-row, so these are bitwise the rows
-        // the unsharded engine scans.
-        let mut ct = vec![0.0f32; d * len];
-        for j in 0..len {
-            let row = &src[(base + j) * d..(base + j + 1) * d];
-            for (l, &v) in row.iter().enumerate() {
-                ct[l * len + j] = v;
-            }
-        }
-        let ids: Vec<u32> = (base as u32..(base + len) as u32).collect();
-        // The shard's own index, under the service-wide configuration
-        // (`nlist` clamps to the shard size). Built eagerly: the slab
-        // itself is built lazily once per version, so this is the
-        // one-time cost the snapshot's whole-corpus index also pays.
-        let index = snap.index_config().map(|cfg| {
-            let rows = Tensor::from_vec(len, d, src[base * d..(base + len) * d].to_vec());
-            Arc::new(IvfIndex::build(&rows, cfg))
-        });
-        Self {
-            base,
-            len,
-            ct,
-            ids,
-            index,
-        }
-    }
-
-    /// Scan `nq` panel rows (`ps`, `nq × d`) against this shard,
-    /// returning each query's shard-local top-`k` with **global** ids.
-    fn scan(&self, ps: &[f32], d: usize, nq: usize, k: usize) -> Vec<Ranking> {
-        let mut selectors: Vec<TopKSelector> = (0..nq)
-            .map(|_| TopKSelector::new(k.min(self.len)))
-            .collect();
-        scan_block(ps, d, nq, &self.ct, self.len, &self.ids, &mut selectors);
-        selectors
-            .into_iter()
-            .map(TopKSelector::into_sorted)
-            .collect()
-    }
-
-    /// Probe this shard's IVF index, offsetting the shard-local result
-    /// ids back into the global id space. Probe and list-scan durations
-    /// go into `spans` (no-op handles cost nothing).
-    fn search(&self, query: &[f32], k: usize, nprobe: usize, spans: &SearchSpans) -> Ranking {
-        let index = self
-            .index
-            .as_ref()
-            .expect("validated: index configured before Approx dispatch");
-        index
-            .search_observed(query, k, nprobe, spans)
-            .into_iter()
-            .map(|(id, s)| (self.base as u32 + id, s))
-            .collect()
-    }
-}
-
-/// The shard slabs of one snapshot version.
-struct ShardSet {
-    /// Embedding dimension of the scan.
-    dim: usize,
-    /// Total candidates across shards.
-    total: usize,
-    slabs: Vec<ShardSlab>,
-}
-
-impl ShardSet {
-    fn build(snap: &AlignmentSnapshot, shards: usize) -> Self {
-        let engine = snap.entity_engine();
-        let n = engine.num_candidates();
-        let dim = engine.normalized_candidates().cols();
-        let ranges = daakg_parallel::split_ranges(n, shards.max(1));
-        let slabs = daakg_parallel::par_map_ranges(ranges.len(), ranges.len(), |sr| {
-            sr.map(|si| {
-                let r = &ranges[si];
-                ShardSlab::build(snap, r.start, r.len())
-            })
-            .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        Self {
-            dim,
-            total: n,
-            slabs,
-        }
-    }
-
-    /// Merge per-shard rankings for one query through one more bounded
-    /// selector: selection is push-order-independent under *(score desc,
-    /// id asc)*, so this reproduces the unsharded scan's list bitwise.
-    fn merge(&self, k: Option<usize>, per_shard: impl Iterator<Item = Ranking>) -> Ranking {
-        let bound = k.map_or(self.total, |k| k.min(self.total));
-        let mut sel = TopKSelector::new(bound);
-        for shard in per_shard {
-            for (id, s) in shard {
-                sel.push(id, s);
-            }
-        }
-        sel.into_sorted()
-    }
-}
-
-/// The shared scatter-gather state: the wrapped service plus the
-/// per-version shard-set cache. Split out of [`ShardedService`] so the
-/// ingress worker thread can hold it without a reference cycle.
-pub(crate) struct ShardCore {
-    service: AlignmentService,
+/// The query engine: answer `queries` on the pinned version `cur`,
+/// scattered over `shards` column ranges, exactly (`nprobe = None`) or by
+/// IVF probe, keeping the best `k` (`None` = full ranking) per query, then
+/// merging `slab`'s live delta rows. Returns the rankings and how many
+/// delta rows were merged into each.
+///
+/// Parallelism: one scatter unit per shard; a lone shard splits the
+/// batch into one unit per `daakg-parallel` worker instead.
+pub(crate) fn answer(
+    cur: &VersionedSnapshot,
     shards: usize,
-    /// Latest shard set, keyed by snapshot version. One entry suffices:
-    /// a request that pinned an older version while a publish was
-    /// in-flight rebuilds its own set rather than mixing versions.
-    cache: Mutex<Option<(u64, Arc<ShardSet>)>>,
-    /// Per-shard scatter-scan latency (`stage_shard_scan_ns`): one
-    /// sample per slab per dispatch.
-    scan_span: HistogramHandle,
-    /// Gather-merge latency (`stage_shard_merge_ns`): one sample per
-    /// dispatch.
-    merge_span: HistogramHandle,
+    queries: &[u32],
+    k: Option<usize>,
+    nprobe: Option<usize>,
+    telem: &ServiceTelemetry,
+    slab: Option<Arc<DeltaSlab>>,
+) -> (Vec<Ranking>, u32) {
+    let snap = &cur.snapshot;
+    let engine = snap.entity_engine();
+    let n = engine.num_candidates();
+    let d = engine.normalized_queries().cols();
+    let ranges = snap.shard_ranges(shards);
+    let indexes = match nprobe {
+        Some(_) => snap
+            .shard_indexes(shards)
+            .expect("validated: index configured"),
+        None => Vec::new(),
+    };
+    let panel = engine.normalized_queries().gather_rows(queries);
+    let panel = panel.as_slice();
+    let workers = if ranges.len() == 1 {
+        daakg_parallel::num_threads()
+    } else {
+        1
+    };
+    let parts = daakg_parallel::split_ranges(queries.len(), workers);
+    let units: Vec<(usize, Range<usize>)> = (0..ranges.len())
+        .flat_map(|s| parts.iter().map(move |p| (s, p.clone())))
+        .collect();
+    let scanned = daakg_parallel::par_map_ranges(units.len(), units.len(), |ur| {
+        ur.map(|u| {
+            let (s, qs) = &units[u];
+            let cols = ranges[*s].clone();
+            let rows = &panel[qs.start * d..qs.end * d];
+            let _span = telem.shard_scan.span();
+            match nprobe {
+                Some(nprobe) => rows
+                    .chunks_exact(d)
+                    .map(|q| {
+                        let k = k.unwrap_or(cols.len());
+                        let local = indexes[*s].search_observed(q, k, nprobe, &telem.search);
+                        // Shard-local index ids back into the global space.
+                        local
+                            .into_iter()
+                            .map(|(id, score)| (cols.start as u32 + id, score))
+                            .collect()
+                    })
+                    .collect(),
+                None => scan_columns(engine, cols, rows, qs.len(), k),
+            }
+        })
+        .collect::<Vec<Vec<Ranking>>>()
+    });
+    let mut per_shard: Vec<Vec<Ranking>> = vec![Vec::new(); ranges.len()];
+    for ((s, _), rankings) in units.iter().zip(scanned.into_iter().flatten()) {
+        per_shard[*s].extend(rankings);
+    }
+    let mut value = if per_shard.len() == 1 {
+        per_shard.pop().expect("one shard")
+    } else {
+        // Selection is push-order-independent under (score desc, id
+        // asc), so this reproduces the one-shard list bitwise.
+        let _span = telem.shard_merge.span();
+        let bound = k.map_or(n, |k| k.min(n));
+        (0..queries.len())
+            .map(|qi| {
+                let mut sel = TopKSelector::new(bound);
+                for &(id, score) in per_shard.iter().flat_map(|shard| &shard[qi]) {
+                    sel.push(id, score);
+                }
+                sel.into_sorted()
+            })
+            .collect()
+    };
+    // Live deltas merge through the same bounded selectors, so the answer
+    // stays bitwise-equal to an exact scan over base ∪ delta.
+    let mut deltas_merged = 0u32;
+    if let Some(slab) = slab {
+        let _span = telem.delta_merge.span();
+        value = slab.merge_into(panel, queries.len(), k, n, value);
+        deltas_merged = slab.len() as u32;
+    }
+    (value, deltas_merged)
 }
 
-impl ShardCore {
-    /// The shard set of exactly `cur`'s version, building (and caching)
-    /// it on first use.
-    fn shard_set(&self, cur: &VersionedSnapshot) -> Arc<ShardSet> {
-        let v = cur.version.get();
-        if let Some((cv, set)) = lock_recover(&self.cache).as_ref() {
-            if *cv == v {
-                return Arc::clone(set);
-            }
-        }
-        // Build outside the lock — a slab build is the expensive path and
-        // must not serialize readers of the cached version. Two requests
-        // racing on a fresh version may both build; the sets are
-        // deterministic, so either install is correct.
-        let set = Arc::new(ShardSet::build(&cur.snapshot, self.shards));
-        let mut cache = lock_recover(&self.cache);
-        match cache.as_ref() {
-            // Never clobber a newer version's set with an older one.
-            Some((cv, _)) if *cv > v => {}
-            _ => *cache = Some((v, Arc::clone(&set))),
-        }
-        set
+/// Exact scan of the candidate columns `cols` for `nq` panel rows, one
+/// query block at a time: each query's best `k` of the range, global ids.
+fn scan_columns(
+    engine: &BatchedSimilarity,
+    cols: Range<usize>,
+    panel: &[f32],
+    nq: usize,
+    k: Option<usize>,
+) -> Vec<Ranking> {
+    let d = engine.normalized_queries().cols();
+    let bound = k.map_or(cols.len(), |k| k.min(cols.len()));
+    let mut out = Vec::with_capacity(nq);
+    for start in (0..nq).step_by(QUERY_BLOCK) {
+        let block = QUERY_BLOCK.min(nq - start);
+        let mut selectors: Vec<TopKSelector> =
+            (0..block).map(|_| TopKSelector::new(bound)).collect();
+        engine.scan_columns(
+            &panel[start * d..(start + block) * d],
+            block,
+            cols.clone(),
+            &mut selectors,
+        );
+        out.extend(selectors.into_iter().map(TopKSelector::into_sorted));
     }
-
-    /// Build (and cache) the current version's shard set ahead of
-    /// traffic, so no query pays the partitioning cost in its own
-    /// latency. Called on construction and after every publish through
-    /// the sharded front-end; a no-op when the set is already cached.
-    pub(crate) fn prewarm(&self) {
-        let cur = self.service.current();
-        self.shard_set(&cur);
-    }
-
-    /// Whether the wrapped service carries an IVF index — the
-    /// precondition for serving degraded (`Approx`) answers.
-    pub(crate) fn has_index(&self) -> bool {
-        self.service.serving().index.is_some()
-    }
-
-    pub(crate) fn query(
-        &self,
-        e1: u32,
-        opts: QueryOptions,
-    ) -> Result<Versioned<Ranking>, DaakgError> {
-        self.service.check_query(e1)?;
-        let nprobe = self.service.resolve_mode(opts.mode)?;
-        let cur = self.service.current();
-        let set = self.shard_set(&cur);
-        let engine = cur.snapshot.entity_engine();
-        let q = engine.normalized_query(e1);
-        let search_spans = &self.service.telem().search;
-        let per_shard = daakg_parallel::par_map_ranges(set.slabs.len(), set.slabs.len(), |sr| {
-            sr.map(|si| {
-                let slab = &set.slabs[si];
-                let _span = self.scan_span.span();
-                match nprobe {
-                    None => {
-                        let k = opts.k.map_or(slab.len, |k| k.min(slab.len));
-                        slab.scan(q, set.dim, 1, k).pop().unwrap_or_default()
-                    }
-                    Some(nprobe) => {
-                        slab.search(q, opts.k.unwrap_or(slab.len), nprobe, search_spans)
-                    }
-                }
-            })
-            .collect::<Vec<_>>()
-        });
-        let mut value = {
-            let _span = self.merge_span.span();
-            set.merge(opts.k, per_shard.into_iter().flatten())
-        };
-        // Live deltas are one more (unsharded) scatter target: the slab
-        // scan merges through the same bounded selector, so the answer
-        // stays bitwise-equal to an exact scan over base ∪ delta. Keyed
-        // by the pinned version, so a just-published retrain can never
-        // pick up the superseded slab.
-        let mut deltas_merged = 0u32;
-        if let Some(slab) = self.service.live_slab_for(cur.version.get()) {
-            let _span = self.service.telem().delta_merge.span();
-            value = slab
-                .merge_into(q, 1, opts.k, set.total, vec![value])
-                .pop()
-                .expect("one query in, one ranking out");
-            deltas_merged = slab.len() as u32;
-        }
-        Ok(Versioned {
-            version: cur.version,
-            value,
-            deltas_merged,
-        })
-    }
-
-    pub(crate) fn query_batch(
-        &self,
-        queries: &[u32],
-        opts: QueryOptions,
-    ) -> Result<Versioned<Vec<Ranking>>, DaakgError> {
-        for &q in queries {
-            self.service.check_query(q)?;
-        }
-        let nprobe = self.service.resolve_mode(opts.mode)?;
-        let cur = self.service.current();
-        let set = self.shard_set(&cur);
-        let engine = cur.snapshot.entity_engine();
-        // Gather the query panels once; every shard scans the same
-        // panels, so the gather must not be repeated per shard.
-        let panels: Vec<Tensor> = queries
-            .chunks(QUERY_BLOCK)
-            .map(|chunk| engine.normalized_queries().gather_rows(chunk))
-            .collect();
-        // Scatter: each shard answers every query with global ids.
-        let search_spans = &self.service.telem().search;
-        let per_shard: Vec<Vec<Ranking>> =
-            daakg_parallel::par_map_ranges(set.slabs.len(), set.slabs.len(), |sr| {
-                sr.map(|si| {
-                    let slab = &set.slabs[si];
-                    let _span = self.scan_span.span();
-                    let mut out: Vec<Ranking> = Vec::with_capacity(queries.len());
-                    match nprobe {
-                        None => {
-                            let k = opts.k.map_or(slab.len, |k| k.min(slab.len));
-                            for (ci, chunk) in queries.chunks(QUERY_BLOCK).enumerate() {
-                                out.extend(slab.scan(
-                                    panels[ci].as_slice(),
-                                    set.dim,
-                                    chunk.len(),
-                                    k,
-                                ));
-                            }
-                        }
-                        Some(nprobe) => {
-                            for &e1 in queries {
-                                out.push(slab.search(
-                                    engine.normalized_query(e1),
-                                    opts.k.unwrap_or(slab.len),
-                                    nprobe,
-                                    search_spans,
-                                ));
-                            }
-                        }
-                    }
-                    out
-                })
-                .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Gather: merge each query's per-shard lists.
-        let merge_span = self.merge_span.span();
-        let mut per_shard = per_shard;
-        let mut value: Vec<Ranking> = (0..queries.len())
-            .map(|qi| {
-                set.merge(
-                    opts.k,
-                    per_shard
-                        .iter_mut()
-                        .map(|shard| std::mem::take(&mut shard[qi])),
-                )
-            })
-            .collect();
-        drop(merge_span);
-        // Merge live deltas per panel chunk (the panels were gathered
-        // above for the scatter; the slab reuses them bitwise).
-        let mut deltas_merged = 0u32;
-        if let Some(slab) = self.service.live_slab_for(cur.version.get()) {
-            let _span = self.service.telem().delta_merge.span();
-            let mut vals = value.into_iter();
-            let mut merged = Vec::with_capacity(queries.len());
-            for (ci, chunk) in queries.chunks(QUERY_BLOCK).enumerate() {
-                let base: Vec<Ranking> = (&mut vals).take(chunk.len()).collect();
-                merged.extend(slab.merge_into(
-                    panels[ci].as_slice(),
-                    chunk.len(),
-                    opts.k,
-                    set.total,
-                    base,
-                ));
-            }
-            value = merged;
-            deltas_merged = slab.len() as u32;
-        }
-        Ok(Versioned {
-            version: cur.version,
-            value,
-            deltas_merged,
-        })
-    }
+    out
 }
 
 /// A sharded scatter-gather serving front-end over an
 /// [`AlignmentService`].
 ///
-/// Shard slabs are built once per published snapshot version and cached,
-/// so steady-state queries pay only the scatter. Construction
-/// **pre-warms** the initial version's set, and publishing through the
-/// front-end's own [`ShardedService::train`] /
-/// [`ShardedService::align_rounds`] wrappers pre-warms the new version —
-/// so no query pays the partitioning cost in its own tail latency.
-/// Training through the wrapped service directly
-/// ([`ShardedService::service`]) still works; the first query after such
-/// a publish builds the new set lazily.
+/// The front-end sets the service's shard count — every query of the
+/// wrapped service then scatters over that many column ranges of the
+/// snapshot's one candidate matrix (see the [module docs](self)) — and
+/// optionally puts a micro-batching ingress in front of single queries.
+/// Exact scans need no per-version preparation; per-shard IVF indexes are
+/// built once per version. Construction **pre-warms** the initial
+/// version's indexes, and publishing through the front-end's own
+/// [`ShardedService::train`] / [`ShardedService::align_rounds`] wrappers
+/// pre-warms the new version — so no query pays an index build in its own
+/// tail latency. Training through the wrapped service directly
+/// ([`ShardedService::service`]) still works; the first `Approx` query
+/// after such a publish builds the indexes lazily.
 ///
 /// `Exact` answers are bitwise-identical to the unsharded service's
-/// (ties included); see the [module docs](self) for why. With an
-/// [`IngressConfig`], single queries additionally coalesce through the
-/// micro-batching ingress ([`crate::ingress`]) into batched kernel
-/// dispatches — which also brings admission control, deadlines, and the
-/// opt-in [`crate::DegradePolicy`] (see the ingress docs).
+/// (ties included). With an [`IngressConfig`], single queries
+/// additionally coalesce through the micro-batching ingress
+/// ([`crate::ingress`]) into batched kernel dispatches — which also
+/// brings admission control, deadlines, and the opt-in
+/// [`crate::DegradePolicy`] (see the ingress docs).
 pub struct ShardedService {
-    core: Arc<ShardCore>,
+    /// Declared first so it drops first: the ingress drains its queue and
+    /// joins its worker before the service is released.
     ingress: Option<Ingress>,
+    service: Arc<AlignmentService>,
 }
 
 impl std::fmt::Debug for ShardedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedService")
-            .field("shards", &self.core.shards)
+            .field("shards", &self.service.shards)
             .field("ingress", &self.ingress.as_ref().map(Ingress::config))
-            .field("service", &self.core.service)
+            .field("service", &self.service)
             .finish()
     }
 }
@@ -431,7 +220,7 @@ impl ShardedService {
     /// Shard `service`'s corpus across `shards` partitions
     /// (`1..=4096`; counts above the corpus size degrade gracefully to
     /// one candidate per shard).
-    pub fn new(service: AlignmentService, shards: usize) -> Result<Self, DaakgError> {
+    pub fn new(mut service: AlignmentService, shards: usize) -> Result<Self, DaakgError> {
         if shards == 0 {
             return Err(DaakgError::invalid(
                 "ShardedService",
@@ -444,20 +233,12 @@ impl ShardedService {
                 format!("shard count {shards} exceeds the 4096 maximum"),
             ));
         }
-        let reg = service.telemetry().registry().clone();
+        service.shards = shards;
         let svc = Self {
-            core: Arc::new(ShardCore {
-                shards,
-                cache: Mutex::new(None),
-                scan_span: reg.histogram("stage_shard_scan_ns"),
-                merge_span: reg.histogram("stage_shard_merge_ns"),
-                service,
-            }),
             ingress: None,
+            service: Arc::new(service),
         };
-        // Pre-warm the initial version so the first query doesn't pay
-        // the shard-set build inside its own latency.
-        svc.core.prewarm();
+        svc.prewarm();
         Ok(svc)
     }
 
@@ -474,30 +255,30 @@ impl ShardedService {
         let mut svc = Self::new(service, shards)?;
         svc.ingress = Some(Ingress::start(
             ingress,
-            Arc::clone(&svc.core),
-            svc.core.service.telemetry(),
+            Arc::clone(&svc.service),
+            svc.service.telemetry(),
         ));
         Ok(svc)
     }
 
     /// The telemetry surface of the whole front-end: the wrapped
-    /// service's registry and journal, which the sharded scatter/merge
-    /// stages and the ingress also record into — one registry covers the
-    /// full stack (see [`AlignmentService::telemetry`]).
+    /// service's registry and journal, which the ingress also records
+    /// into — one registry covers the full stack (see
+    /// [`AlignmentService::telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
-        self.core.service.telemetry()
+        self.service.telemetry()
     }
 
     /// The wrapped service — train and publish through this handle;
     /// queries on the sharded front-end observe each publish on their
     /// next version grab.
     pub fn service(&self) -> &AlignmentService {
-        &self.core.service
+        &self.service
     }
 
     /// Number of corpus partitions.
     pub fn shards(&self) -> usize {
-        self.core.shards
+        self.service.shards
     }
 
     /// The ingress window configuration, when one is running.
@@ -517,7 +298,7 @@ impl ShardedService {
     /// counters, and whether the ingress [`crate::DegradePolicy`] is
     /// currently engaged — one coherent view of the whole front-end.
     pub fn health(&self) -> ServiceHealth {
-        let mut health = self.core.service.health();
+        let mut health = self.service.health();
         health.ingress = self.ingress_stats();
         if let Some(ingress) = &self.ingress {
             health.degrade_engaged = ingress.degrade_engaged();
@@ -525,37 +306,41 @@ impl ShardedService {
         health
     }
 
-    /// Build (and cache) the current version's shard set ahead of
-    /// traffic. Construction and the [`ShardedService::train`] /
-    /// [`ShardedService::align_rounds`] wrappers already do this; call it
-    /// manually after publishing through
-    /// [`ShardedService::service`] directly to keep the build cost out of
-    /// the next query's latency.
+    /// Build the current version's per-shard IVF indexes ahead of
+    /// traffic (a no-op without an index, or once built). Construction
+    /// and the [`ShardedService::train`] / [`ShardedService::align_rounds`]
+    /// wrappers already do this; call it manually after publishing
+    /// through [`ShardedService::service`] directly to keep the build
+    /// cost out of the next query's latency.
     pub fn prewarm(&self) {
-        self.core.prewarm();
+        self.service
+            .current()
+            .snapshot
+            .shard_indexes(self.service.shards);
     }
 
     /// Train on `labels` and publish through the wrapped service, then
-    /// pre-warm the new version's shard set so the publish — not the
-    /// next query — pays the partitioning cost.
+    /// pre-warm the new version's shard indexes so the publish — not the
+    /// next query — pays the build.
     pub fn train(
         &self,
         labels: &crate::joint::LabeledMatches,
     ) -> Result<VersionedSnapshot, DaakgError> {
-        let published = self.core.service.train(labels)?;
-        self.core.prewarm();
+        let published = self.service.train(labels)?;
+        self.prewarm();
         Ok(published)
     }
 
     /// [`AlignmentService::align_rounds`] through the front-end, with the
-    /// new version's shard set pre-warmed (see [`ShardedService::train`]).
+    /// new version's shard indexes pre-warmed (see
+    /// [`ShardedService::train`]).
     pub fn align_rounds(
         &self,
         labels: &crate::joint::LabeledMatches,
         epochs: usize,
     ) -> Result<Versioned<Vec<f32>>, DaakgError> {
-        let losses = self.core.service.align_rounds(labels, epochs)?;
-        self.core.prewarm();
+        let losses = self.service.align_rounds(labels, epochs)?;
+        self.prewarm();
         Ok(losses)
     }
 
@@ -566,16 +351,7 @@ impl ShardedService {
     /// opt-in [`crate::DegradePolicy`]; without one, it scatters
     /// immediately (no queue, so deadlines are inert and nothing sheds).
     pub fn query(&self, e1: u32, opts: QueryOptions) -> Result<Versioned<Ranking>, DaakgError> {
-        match &self.ingress {
-            Some(ingress) => {
-                // Fail fast (and keep the worker infallible): bounds and
-                // mode are validated before the queue ever sees the query.
-                self.core.service.check_query(e1)?;
-                self.core.service.resolve_mode(opts.mode)?;
-                ingress.submit(e1, opts).map(|(answer, _served)| answer)
-            }
-            None => self.core.query(e1, opts),
-        }
+        self.submit(e1, opts)?.wait()
     }
 
     /// [`ShardedService::query`], with the answer stamped by the
@@ -583,24 +359,7 @@ impl ShardedService {
     /// from the requested one only while an explicitly configured
     /// [`crate::DegradePolicy`] is engaged.
     pub fn query_served(&self, e1: u32, opts: QueryOptions) -> Result<Served<Ranking>, DaakgError> {
-        match &self.ingress {
-            Some(ingress) => {
-                self.core.service.check_query(e1)?;
-                self.core.service.resolve_mode(opts.mode)?;
-                ingress.submit(e1, opts).map(|(answer, served)| Served {
-                    version: answer.version,
-                    value: answer.value,
-                    deltas_merged: answer.deltas_merged,
-                    served,
-                })
-            }
-            None => self.core.query(e1, opts).map(|answer| Served {
-                version: answer.version,
-                value: answer.value,
-                deltas_merged: answer.deltas_merged,
-                served: opts.mode,
-            }),
-        }
+        self.submit(e1, opts)?.wait_served()
     }
 
     /// Admit one query without blocking for its answer: the open-loop
@@ -612,12 +371,16 @@ impl ShardedService {
     pub fn submit(&self, e1: u32, opts: QueryOptions) -> Result<PendingAnswer, DaakgError> {
         match &self.ingress {
             Some(ingress) => {
-                self.core.service.check_query(e1)?;
-                self.core.service.resolve_mode(opts.mode)?;
+                // Fail fast (and keep the worker infallible): bounds and
+                // mode are validated before the queue ever sees the query.
+                self.service.check_query(e1)?;
+                self.service.resolve_mode(opts.mode)?;
                 ingress.submit_ticket(e1, opts)
             }
             None => Ok(PendingAnswer::filled(
-                self.core.query(e1, opts).map(|answer| (answer, opts.mode)),
+                self.service
+                    .query(e1, opts)
+                    .map(|answer| (answer, opts.mode)),
             )),
         }
     }
@@ -630,7 +393,7 @@ impl ShardedService {
         queries: &[u32],
         opts: QueryOptions,
     ) -> Result<Versioned<Vec<Ranking>>, DaakgError> {
-        self.core.query_batch(queries, opts)
+        self.service.query_batch(queries, opts)
     }
 
     /// Rank all right entities for `e1` in the wrapped service's default
@@ -658,7 +421,7 @@ impl ShardedService {
     }
 
     fn default_mode(&self) -> QueryMode {
-        self.core.service.serving().mode
+        self.service.serving().mode
     }
 }
 
@@ -709,25 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_exact_matches_unsharded_bitwise() {
-        let svc = example_service(ServingConfig::default());
-        let n1 = svc.kg1().num_entities();
-        let queries: Vec<u32> = (0..n1 as u32).collect();
-        let reference = svc.batch_top_k(&queries, 3).expect("unsharded");
-        for shards in [1usize, 2, 3, 7] {
-            let sharded = ShardedService::new(example_service(ServingConfig::default()), shards)
-                .expect("sharded");
-            let got = sharded.batch_top_k(&queries, 3).expect("sharded batch");
-            assert_eq!(got.value, reference.value, "shards={shards}");
-            for &q in &queries {
-                let one = sharded.top_k(q, 3).expect("sharded single");
-                let exact = svc.top_k(q, 3).expect("unsharded single");
-                assert_eq!(one.value, exact.value, "shards={shards} q={q}");
-            }
-        }
-    }
-
-    #[test]
     fn sharded_rank_matches_unsharded() {
         let svc = example_service(ServingConfig::default());
         let sharded =
@@ -752,10 +496,10 @@ mod tests {
         let after = sharded.top_k(0, 2).expect("v2 answer");
         assert_eq!(after.version.get(), 2);
         // The new version's answer matches the unsharded scan of the new
-        // snapshot — the shard set was rebuilt, not served stale.
+        // snapshot — the shards scan the new version, not a stale one.
         assert_eq!(
             after.value,
-            sharded.service().top_k(0, 2).expect("unsharded").value
+            sharded.service().current().snapshot.top_k_entities(0, 2)
         );
     }
 
@@ -765,14 +509,18 @@ mod tests {
         assert_send_sync::<ShardedService>();
     }
 
-    fn live_service() -> AlignmentService {
-        let mut svc = example_service(ServingConfig::default());
-        svc.enable_live(crate::LiveConfig {
+    /// A live config whose compactor never runs on its own.
+    fn manual_live() -> crate::LiveConfig {
+        crate::LiveConfig {
             compact_after: 10_000,
             tick: std::time::Duration::from_secs(3600),
             ..crate::LiveConfig::default()
-        })
-        .expect("enable live");
+        }
+    }
+
+    fn live_service() -> AlignmentService {
+        let mut svc = example_service(ServingConfig::default());
+        svc.enable_live(manual_live()).expect("enable live");
         svc
     }
 
@@ -784,6 +532,81 @@ mod tests {
         }
     }
 
+    fn assert_bitwise(got: &[(u32, f32)], want: &[(u32, f32)], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.0, w.0, "{what}: id at {i}");
+            assert_eq!(g.1.to_bits(), w.1.to_bits(), "{what}: score bits at {i}");
+        }
+    }
+
+    /// The scatter-gather contract as one sweep: at every shard count,
+    /// result bound, mode and delta state, single and batched answers are
+    /// bitwise the snapshot engine's exact scan of the (union) corpus,
+    /// ties included — so every shard count equals the unsharded answer.
+    /// Rows: shards {1, 2, 3, 7, n+3} × k {0, 1, > n, None} × {Exact,
+    /// full-probe Approx} × live delta {off, on}. With deltas pending the
+    /// oracle is the folded snapshot (the union corpus).
+    #[test]
+    fn sharded_exact_matches_unsharded_bitwise() {
+        let n = example_service(ServingConfig::default())
+            .kg2()
+            .num_entities();
+        let full_probe = QueryMode::Approx { nprobe: 3 };
+        for shards in [1, 2, 3, 7, n + 3] {
+            for delta in [false, true] {
+                let mut svc = example_service(ServingConfig::with_index(3));
+                if delta {
+                    svc.enable_live(manual_live()).expect("enable live");
+                }
+                let sharded = ShardedService::new(svc, shards).expect("sharded");
+                let svc = sharded.service();
+                let merged = if delta {
+                    let a = svc.upsert_entity(&[triple(0, 0)]).expect("upsert");
+                    svc.upsert_entity(&[triple(1, a)]).expect("upsert");
+                    2
+                } else {
+                    0
+                };
+                let queries: Vec<u32> = (0..svc.kg1().num_entities() as u32).collect();
+                let rows: Vec<(Option<usize>, QueryMode)> = [Some(0), Some(1), Some(n + 5), None]
+                    .into_iter()
+                    .flat_map(|k| [(k, QueryMode::Exact), (k, full_probe)])
+                    .collect();
+                let answers: Vec<_> = rows
+                    .iter()
+                    .map(|&(k, mode)| {
+                        let opts = k
+                            .map_or(QueryOptions::rank(), QueryOptions::top_k)
+                            .with_mode(mode);
+                        let singles: Vec<_> = queries
+                            .iter()
+                            .map(|&q| sharded.query(q, opts).expect("single"))
+                            .collect();
+                        (singles, sharded.query_batch(&queries, opts).expect("batch"))
+                    })
+                    .collect();
+                if delta {
+                    svc.compact_now().expect("fold").expect("deltas pending");
+                }
+                let snap = svc.current().snapshot;
+                for (&(k, mode), (singles, batch)) in rows.iter().zip(&answers) {
+                    let row = format!("shards={shards} delta={delta} k={k:?} {mode:?}");
+                    assert_eq!(batch.deltas_merged, merged, "{row}");
+                    for (qi, &q) in queries.iter().enumerate() {
+                        let want = match k {
+                            Some(k) => snap.top_k_entities(q, k),
+                            None => snap.rank_entities(q),
+                        };
+                        assert_eq!(singles[qi].deltas_merged, merged, "{row}");
+                        assert_bitwise(&singles[qi].value, &want, &format!("{row} q={q}"));
+                        assert_bitwise(&batch.value[qi], &want, &format!("{row} batch q={q}"));
+                    }
+                }
+            }
+        }
+    }
+
     /// Sharded scatter-gather over base ∪ delta stays bitwise-identical
     /// to the unsharded merged answer, at every shard count and k shape
     /// (the delta slab is one more scatter target, merged through the
@@ -792,9 +615,12 @@ mod tests {
     fn sharded_live_answers_match_unsharded_bitwise() {
         for shards in [1usize, 2, 7] {
             let sharded = ShardedService::new(live_service(), shards).expect("sharded");
-            let svc = sharded.service();
-            let a = svc.upsert_entity(&[triple(0, 0)]).expect("upsert");
-            svc.upsert_entity(&[triple(1, a)]).expect("upsert");
+            // The unsharded reference: an identical service, same upserts.
+            let svc = &live_service();
+            for s in [sharded.service(), svc] {
+                let a = s.upsert_entity(&[triple(0, 0)]).expect("upsert");
+                s.upsert_entity(&[triple(1, a)]).expect("upsert");
+            }
             let n2 = svc.kg2().num_entities();
             let union_n = n2 + 2;
             let queries: Vec<u32> = (0..svc.kg1().num_entities() as u32).collect();

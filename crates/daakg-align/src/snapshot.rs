@@ -14,6 +14,7 @@ use daakg_autograd::{ParamStore, Tensor};
 use daakg_embed::{EntityClassModel, KgEmbedding};
 use daakg_graph::{ElementPair, KnowledgeGraph};
 use daakg_index::{IvfConfig, IvfIndex};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Cached matrices of one alignment round.
@@ -67,6 +68,9 @@ pub struct AlignmentSnapshot {
     /// approximate query, and clones of the snapshot (all sharing the
     /// same published version) share the built index through the `Arc`.
     index_cell: OnceLock<Arc<IvfIndex>>,
+    /// Per-shard IVF indexes of the multi-shard layout this snapshot is
+    /// served under (see [`AlignmentSnapshot::shard_indexes`]).
+    shard_index_cell: OnceLock<Vec<Arc<IvfIndex>>>,
 }
 
 /// The owned pieces [`AlignmentSnapshot::from_parts`] reassembles a
@@ -168,6 +172,7 @@ impl AlignmentSnapshot {
             entity_engine,
             index_cfg: None,
             index_cell: OnceLock::new(),
+            shard_index_cell: OnceLock::new(),
         }
     }
 
@@ -226,6 +231,7 @@ impl AlignmentSnapshot {
             entity_engine,
             index_cfg: None,
             index_cell: OnceLock::new(),
+            shard_index_cell: OnceLock::new(),
         })
     }
 
@@ -287,6 +293,7 @@ impl AlignmentSnapshot {
     pub fn set_index_config(&mut self, cfg: Option<IvfConfig>) {
         self.index_cfg = cfg;
         self.index_cell = OnceLock::new();
+        self.shard_index_cell = OnceLock::new();
     }
 
     /// The IVF configuration this snapshot carries, if any.
@@ -309,6 +316,45 @@ impl AlignmentSnapshot {
         }))
     }
 
+    /// The right-entity column ranges of `shards` contiguous
+    /// scatter-gather shards (fewer when the corpus is smaller).
+    pub(crate) fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
+        daakg_parallel::split_ranges(self.ents2.rows(), shards)
+    }
+
+    /// One IVF index per shard of [`AlignmentSnapshot::shard_ranges`],
+    /// each over its shard's normalized rows with shard-local ids, or
+    /// `None` when no index is configured. A single shard is served by
+    /// the snapshot's own [`AlignmentSnapshot::ivf_index`] (a persisted
+    /// index included); a multi-shard layout is built once per snapshot,
+    /// one shard per worker, and shared by every reader of the version.
+    pub(crate) fn shard_indexes(&self, shards: usize) -> Option<Vec<Arc<IvfIndex>>> {
+        let cfg = self.index_cfg.as_ref()?;
+        let ranges = self.shard_ranges(shards);
+        if ranges.len() == 1 {
+            return Some(vec![Arc::clone(self.ivf_index()?)]);
+        }
+        let indexes = self.shard_index_cell.get_or_init(|| {
+            let rows = self.entity_engine.normalized_candidates();
+            let d = rows.cols();
+            daakg_parallel::par_map_ranges(ranges.len(), ranges.len(), |sr| {
+                sr.map(|si| {
+                    let r = &ranges[si];
+                    let src = rows.as_slice()[r.start * d..r.end * d].to_vec();
+                    Arc::new(IvfIndex::build(&Tensor::from_vec(r.len(), d, src), cfg))
+                })
+                .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+        });
+        // A service fixes its shard count before its first query, so a
+        // snapshot is only ever served under one layout.
+        assert_eq!(indexes.len(), ranges.len(), "one shard layout per snapshot");
+        Some(indexes.clone())
+    }
+
     /// Approximate top-`k` right entities for a left entity: scan the
     /// `nprobe` most-similar inverted lists of the snapshot's index.
     /// Scores are exact cosines over the probed candidates, and
@@ -320,22 +366,8 @@ impl AlignmentSnapshot {
         k: usize,
         nprobe: usize,
     ) -> Option<Vec<(u32, f32)>> {
-        self.top_k_entities_approx_observed(e1, k, nprobe, &daakg_index::SearchSpans::default())
-    }
-
-    /// [`AlignmentSnapshot::top_k_entities_approx`] with stage telemetry:
-    /// the centroid probe and the inverted-list scan are timed into
-    /// `spans` separately. The answer is bitwise identical; no-op handles
-    /// cost nothing.
-    pub fn top_k_entities_approx_observed(
-        &self,
-        e1: u32,
-        k: usize,
-        nprobe: usize,
-        spans: &daakg_index::SearchSpans,
-    ) -> Option<Vec<(u32, f32)>> {
         let index = self.ivf_index()?;
-        Some(index.search_observed(self.entity_engine.normalized_query(e1), k, nprobe, spans))
+        Some(index.search(self.entity_engine.normalized_query(e1), k, nprobe))
     }
 
     /// Approximate ranking of *all* candidates in the probed lists for a
@@ -345,17 +377,6 @@ impl AlignmentSnapshot {
     /// is configured.
     pub fn rank_entities_approx(&self, e1: u32, nprobe: usize) -> Option<Vec<(u32, f32)>> {
         self.top_k_entities_approx(e1, self.ents2.rows(), nprobe)
-    }
-
-    /// [`AlignmentSnapshot::rank_entities_approx`] with stage telemetry
-    /// (see [`AlignmentSnapshot::top_k_entities_approx_observed`]).
-    pub fn rank_entities_approx_observed(
-        &self,
-        e1: u32,
-        nprobe: usize,
-        spans: &daakg_index::SearchSpans,
-    ) -> Option<Vec<(u32, f32)>> {
-        self.top_k_entities_approx_observed(e1, self.ents2.rows(), nprobe, spans)
     }
 
     /// Entity similarity `S(e, e') = cos(A_ent·e, e')` (Eq. 4).

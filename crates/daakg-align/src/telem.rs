@@ -22,9 +22,8 @@
 //! | gauge | `durability_degraded` | 1 while the latest persist failed |
 //! | histogram | `stage_ingress_queue_wait_ns` | admission → dequeue wait |
 //! | histogram | `stage_ingress_execute_ns` | batched dispatch execution |
-//! | histogram | `stage_shard_scan_ns` | one shard's scatter scan |
-//! | histogram | `stage_shard_merge_ns` | scatter-gather merge |
-//! | histogram | `stage_exact_scan_ns` | exhaustive (unsharded) scan |
+//! | histogram | `stage_shard_scan_ns` | one scatter unit's scan or probe (a shard, or a lone shard's slice of the batch) |
+//! | histogram | `stage_shard_merge_ns` | merge of per-shard lists (multi-shard dispatches) |
 //! | histogram | `stage_ivf_probe_ns` | IVF centroid probe |
 //! | histogram | `stage_ivf_scan_ns` | IVF inverted-list scan |
 //! | histogram | `stage_delta_merge_ns` | live delta-slab merge into an answer |
@@ -52,7 +51,8 @@ use daakg_telemetry::{
 pub(crate) struct ServiceTelemetry {
     pub telemetry: Telemetry,
     // Stage histograms.
-    pub exact_scan: HistogramHandle,
+    pub shard_scan: HistogramHandle,
+    pub shard_merge: HistogramHandle,
     pub search: SearchSpans,
     pub delta_merge: HistogramHandle,
     pub warm_start: HistogramHandle,
@@ -80,7 +80,8 @@ impl ServiceTelemetry {
             MetricsRegistry::new()
         };
         Self {
-            exact_scan: reg.histogram("stage_exact_scan_ns"),
+            shard_scan: reg.histogram("stage_shard_scan_ns"),
+            shard_merge: reg.histogram("stage_shard_merge_ns"),
             search: SearchSpans {
                 probe: reg.histogram("stage_ivf_probe_ns"),
                 scan: reg.histogram("stage_ivf_scan_ns"),

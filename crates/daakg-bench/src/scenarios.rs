@@ -1219,7 +1219,7 @@ fn sharded_closed_loop(
 }
 
 /// Sharded scatter-gather serving over a right corpus partitioned into
-/// per-shard slabs, fronted by the micro-batching ingress.
+/// column-range shards, fronted by the micro-batching ingress.
 ///
 /// Three measurements over one 100k-entity service (construction
 /// publishes version 1 immediately — serving needs no training):
@@ -2107,12 +2107,12 @@ fn telemetry_overhead(cfg: &BenchConfig) -> ScenarioResult {
 
     // Phase 3: per-stage latency percentiles from the enabled registry.
     let mut result = ScenarioResult::new(&format!("telemetry_overhead_{}", short_count(entities)));
-    let mut saw_exact_scan = false;
+    let mut saw_shard_scan = false;
     for (name, hist) in lit.telemetry().registry().histograms() {
         if hist.count() == 0 {
             continue;
         }
-        saw_exact_scan |= name == "stage_exact_scan_ns";
+        saw_shard_scan |= name == "stage_shard_scan_ns";
         let stage = name.trim_start_matches("stage_").trim_end_matches("_ns");
         for (q, label) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
             result = result.metric(
@@ -2121,7 +2121,7 @@ fn telemetry_overhead(cfg: &BenchConfig) -> ScenarioResult {
             );
         }
     }
-    verified &= saw_exact_scan;
+    verified &= saw_shard_scan;
 
     // Phase 4: overload journal causality. The burst stays below the
     // journal ring capacity so the early engage event cannot be evicted
@@ -2237,7 +2237,7 @@ mod tests {
             .expect("telemetry scenario present");
         assert_eq!(telem.get_flag("bitwise_identical"), Some(true));
         assert_eq!(telem.get_flag("journal_causal"), Some(true));
-        assert!(telem.get_metric("exact_scan_p99_us").is_some());
+        assert!(telem.get_metric("shard_scan_p99_us").is_some());
         assert!(telem.get_metric("ivf_probe_p50_us").is_some());
     }
 

@@ -285,6 +285,7 @@ impl IvfIndex {
                 1,
                 &self.blocks_t[start * self.dim..end * self.dim],
                 m,
+                m,
                 &self.ids[start..end],
                 std::slice::from_mut(&mut sel),
             );

@@ -28,7 +28,8 @@
 //! every oracle untouched), `Approx { nprobe }` routes queries through
 //! the snapshot's index. [`QueryOptions`] bundles the mode with the
 //! result bound `k` into the one options struct every serving-layer query
-//! entry point (`daakg_align::QueryExecutor`) accepts.
+//! entry point (`daakg_align::AlignmentService::query` and friends)
+//! accepts.
 
 pub mod ivf;
 pub mod kmeans;
@@ -86,8 +87,8 @@ impl QueryMode {
 }
 
 /// The unified per-call query options consumed by the serving layer
-/// (`daakg_align::QueryExecutor`): how many candidates to return and how
-/// to execute the scan.
+/// (`daakg_align::AlignmentService::query`): how many candidates to
+/// return and how to execute the scan.
 ///
 /// One struct replaces the old `rank`/`rank_with` + `top_k`/`top_k_with` +
 /// `batch_top_k`/`batch_top_k_with` split: `k` selects between a bounded

@@ -173,7 +173,8 @@ const SCAN_TILE: usize = 16;
 /// query panel (`nq` rows of `d` floats in `ps`), feeding the per-query
 /// bounded selectors.
 ///
-/// `ct` is the *transposed* candidate block (`d` rows of `n` floats), so
+/// `ct` is the *transposed* candidate block (`d` rows of stride `ld`,
+/// the first `n` columns scanned), so
 /// the kernel accumulates a 4-query × 16-candidate register tile
 /// *vertically*: per depth step it loads one 16-wide candidate slab,
 /// broadcasts four query scalars, and issues eight 8-lane FMAs — no
@@ -187,18 +188,19 @@ const SCAN_TILE: usize = 16;
 /// this body and re-vectorizes it with the wider instruction set.
 // Index-based tile loops are deliberate: the accumulator tile must be
 // addressed by lane for the vectorizer to keep it in registers.
-#[allow(clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #[inline(always)]
 fn scan_panel(
     ps: &[f32],
     d: usize,
     nq: usize,
     ct: &[f32],
+    ld: usize,
     n: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
 ) {
-    debug_assert_eq!(ct.len(), d * n);
+    debug_assert!(n <= ld && (d == 0 || n == 0 || ct.len() >= (d - 1) * ld + n));
     debug_assert_eq!(ids.len(), n);
     let mut qi = 0;
     while qi + 4 <= nq {
@@ -217,7 +219,7 @@ fn scan_panel(
         while j0 + SCAN_TILE <= n {
             let mut acc = [[0.0f32; SCAN_TILE]; 4];
             for l in 0..d {
-                let slab = &ct[l * n + j0..l * n + j0 + SCAN_TILE];
+                let slab = &ct[l * ld + j0..l * ld + j0 + SCAN_TILE];
                 let (b0, b1, b2, b3) = (q0[l], q1[l], q2[l], q3[l]);
                 for t in 0..SCAN_TILE {
                     let cv = slab[t];
@@ -240,7 +242,7 @@ fn scan_panel(
         while j0 < n {
             let mut s = [0.0f32; 4];
             for l in 0..d {
-                let cv = ct[l * n + j0];
+                let cv = ct[l * ld + j0];
                 s[0] += q0[l] * cv;
                 s[1] += q1[l] * cv;
                 s[2] += q2[l] * cv;
@@ -260,7 +262,7 @@ fn scan_panel(
         let q = &ps[qi * d..(qi + 1) * d];
         let mut buf = vec![0.0f32; n];
         for (l, &bq) in q.iter().enumerate() {
-            for (o, &cv) in buf.iter_mut().zip(&ct[l * n..(l + 1) * n]) {
+            for (o, &cv) in buf.iter_mut().zip(&ct[l * ld..l * ld + n]) {
                 *o += bq * cv;
             }
         }
@@ -279,16 +281,18 @@ fn scan_panel(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn scan_panel_avx2(
     ps: &[f32],
     d: usize,
     nq: usize,
     ct: &[f32],
+    ld: usize,
     n: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
 ) {
-    scan_panel(ps, d, nq, ct, n, ids, selectors)
+    scan_panel(ps, d, nq, ct, ld, n, ids, selectors)
 }
 
 /// Scan a transposed candidate block against a query panel with the
@@ -298,14 +302,19 @@ unsafe fn scan_panel_avx2(
 /// serving wide SIMD on real hardware.
 ///
 /// * `ps` — the query panel, `nq` contiguous rows of `d` floats;
-/// * `ct` — the transposed candidate block, `d` rows of `n` floats;
+/// * `ct` — the transposed candidate block: `d` rows of stride `ld`, of
+///   which the first `n` columns are scanned (`ld = n` for a packed
+///   block; a wider `ld` scans the column range starting at `ct[0]` of a
+///   larger transposed matrix in place);
 /// * `ids` — the id pushed for each of the `n` columns;
 /// * `selectors` — one bounded accumulator per query row (`≥ nq`).
+#[allow(clippy::too_many_arguments)]
 pub fn scan_block(
     ps: &[f32],
     d: usize,
     nq: usize,
     ct: &[f32],
+    ld: usize,
     n: usize,
     ids: &[u32],
     selectors: &mut [TopKSelector],
@@ -313,9 +322,9 @@ pub fn scan_block(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
         // SAFETY: both features were just verified on this CPU.
-        return unsafe { scan_panel_avx2(ps, d, nq, ct, n, ids, selectors) };
+        return unsafe { scan_panel_avx2(ps, d, nq, ct, ld, n, ids, selectors) };
     }
-    scan_panel(ps, d, nq, ct, n, ids, selectors)
+    scan_panel(ps, d, nq, ct, ld, n, ids, selectors)
 }
 
 /// Bounded top-k selection over a score slice: keep the best `k` in a
@@ -400,7 +409,7 @@ mod tests {
         }
         let ids: Vec<u32> = (0..n as u32).map(|j| j * 3 + 100).collect();
         let mut selectors: Vec<TopKSelector> = (0..nq).map(|_| TopKSelector::new(5)).collect();
-        scan_block(&panel, d, nq, &ct, n, &ids, &mut selectors);
+        scan_block(&panel, d, nq, &ct, n, n, &ids, &mut selectors);
         for (qi, sel) in selectors.into_iter().enumerate() {
             let q = &panel[qi * d..(qi + 1) * d];
             let scored: Vec<(u32, f32)> = (0..n)
@@ -419,6 +428,61 @@ mod tests {
             for ((gi, gs), (ei, es)) in got.iter().zip(&expect) {
                 assert_eq!(gi, ei, "query {qi}");
                 assert!((gs - es).abs() < 1e-5);
+            }
+        }
+    }
+
+    /// Scanning a column range of a wide transposed matrix in place
+    /// (row stride `ld`) is bitwise the scan of a packed copy of that
+    /// range: unaligned bases, ranges shorter than one tile, every
+    /// query-tail shape, through the scalar kernel and the dispatch.
+    #[test]
+    fn strided_column_range_scan_matches_packed_copy_bitwise() {
+        type Kernel = fn(&[f32], usize, usize, &[f32], usize, usize, &[u32], &mut [TopKSelector]);
+        let kernels: [(&str, Kernel); 2] = [("scan_panel", scan_panel), ("scan_block", scan_block)];
+        let mut rng = StdRng::seed_from_u64(13);
+        let (d, ld) = (9usize, 83usize);
+        let wide: Vec<f32> = (0..d * ld).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let panel: Vec<f32> = (0..5 * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let ranges = [
+            (0, ld),
+            (3, 5),
+            (17, 15),
+            (5, 40),
+            (33, 1),
+            (70, 13),
+            (19, 0),
+        ];
+        for (base, len) in ranges {
+            let mut packed = vec![0.0f32; d * len];
+            for l in 0..d {
+                packed[l * len..(l + 1) * len]
+                    .copy_from_slice(&wide[l * ld + base..l * ld + base + len]);
+            }
+            let ids: Vec<u32> = (base as u32..(base + len) as u32).collect();
+            for nq in 1..=5 {
+                for (name, kernel) in kernels {
+                    let run = |ct: &[f32], stride: usize| {
+                        let mut sel: Vec<TopKSelector> =
+                            (0..nq).map(|_| TopKSelector::new(len)).collect();
+                        kernel(&panel[..nq * d], d, nq, ct, stride, len, &ids, &mut sel);
+                        sel.into_iter()
+                            .map(|s| {
+                                s.into_sorted()
+                                    .into_iter()
+                                    .map(|(id, v)| (id, v.to_bits()))
+                                    .collect::<Vec<_>>()
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    let strided = run(&wide[base..], ld);
+                    assert!(strided.iter().all(|r| r.len() == len));
+                    assert_eq!(
+                        strided,
+                        run(&packed, len),
+                        "{name} base={base} len={len} nq={nq}"
+                    );
+                }
             }
         }
     }

@@ -62,14 +62,14 @@
 //!
 //! ## Serving topology
 //!
-//! Both serving front-ends implement the unified [`QueryExecutor`]
-//! trait over [`QueryOptions`]:
+//! Every query runs through one engine that takes [`QueryOptions`]:
 //!
-//! * [`AlignmentService`] (from `.build()`) — one corpus, one slab, the
-//!   batched scan kernel;
+//! * [`AlignmentService`] (from `.build()`) — the one-shard case: the
+//!   batch splits across worker threads over the whole corpus;
 //! * [`ShardedService`] (from `.shards(n)` + `.build_sharded()`) — the
-//!   right-KG corpus partitioned across `n` scatter-gather shards, each
-//!   with its own slab and per-shard IVF index. Exact answers are
+//!   same service with the right-KG corpus split into `n` scatter-gather
+//!   shards, each a column range of the one normalized candidate matrix
+//!   with its own per-shard IVF index. Exact answers are
 //!   **bitwise-identical** to the unsharded service, ties included.
 //!   Adding `.ingress(IngressConfig { .. })` puts a micro-batching
 //!   window in front: concurrent single queries coalesce into batched
@@ -137,6 +137,9 @@
 //! | hand-rolled latency percentiles over `Vec<u64>` | [`Histogram`] (`record` / `merge` / `quantile`) |
 //! | `service.health()` polling for persist faults | still works — now a view over [`MetricsRegistry`]; rich detail via [`AlignmentService::telemetry`] |
 //! | scraping logs for lifecycle events | [`EventJournal`] ([`Telemetry::journal`], [`EventKind`]) |
+//! | `QueryExecutor` trait (**removed**) | call [`AlignmentService::query`] / [`ShardedService::query`] directly (one engine behind both) |
+//! | `service.prune_shared(k)` (**removed**) / `prune(&mut self, k)` | `service.prune(k)` (`&self`, returns the count dropped) |
+//! | `stage_exact_scan_ns` histogram (**removed**) | `stage_shard_scan_ns` (an unsharded service is one shard) |
 //!
 //! Holding an `Arc<AlignmentSnapshot>` from [`AlignmentService::current`]
 //! pins that version for as long as needed — retraining never invalidates
@@ -166,8 +169,8 @@ pub use daakg_active::{ActiveConfig, ActiveLoop, GoldOracle, Strategy};
 pub use daakg_align::{
     AlignmentService, AlignmentSnapshot, BatchedSimilarity, DegradePolicy, DeltaRecovery,
     DeltaTriple, DurableRegistry, IngressConfig, IngressStats, JointConfig, JointModel,
-    LabeledMatches, LiveConfig, LiveHealth, PendingAnswer, QueryExecutor, RecoveryReport, Served,
-    ServiceHealth, ServingConfig, ShardedService, SnapshotVersion, Versioned, VersionedSnapshot,
+    LabeledMatches, LiveConfig, LiveHealth, PendingAnswer, RecoveryReport, Served, ServiceHealth,
+    ServingConfig, ShardedService, SnapshotVersion, Versioned, VersionedSnapshot,
 };
 pub use daakg_autograd::{Graph, ParamStore, TapeSession, Tensor};
 pub use daakg_embed::{EmbedConfig, KgEmbedding, ModelKind, TrainMode};

@@ -233,8 +233,8 @@ impl PipelineBuilder {
     }
 
     /// Partition the right-KG corpus across `shards` scatter-gather
-    /// partitions, each with its own candidate slab (and per-shard IVF
-    /// index when [`PipelineBuilder::index`] is set). Switches the build
+    /// partitions, each a column range of the one candidate matrix (with
+    /// a per-shard IVF index when [`PipelineBuilder::index`] is set). Switches the build
     /// target to [`PipelineBuilder::build_sharded`]; `1..=4096` is
     /// enforced there. Exact sharded answers are bitwise-identical to the
     /// unsharded service's.
@@ -512,7 +512,7 @@ mod tests {
         service.top_k(0, 3).unwrap();
         let text = service.telemetry().render_prometheus();
         assert!(
-            text.contains("daakg_stage_exact_scan_seconds_count 1"),
+            text.contains("daakg_stage_shard_scan_seconds_count 1"),
             "{text}"
         );
         // Disabled build: every handle is a no-op, answers identical.

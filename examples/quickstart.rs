@@ -257,10 +257,14 @@ fn main() -> Result<(), DaakgError> {
             .collect();
         RankingScores::from_rankings_parallel(&items).hits_at(1)
     };
-    assert_eq!(sharded_h1, h1_of(sharded.service()));
+    // The snapshot's own exact ranking is the unsharded answer.
+    let snap = sharded.service().current().snapshot;
+    for &(l, _) in &gold_ids {
+        assert_eq!(sharded.rank(l)?.value, snap.rank_entities(l));
+    }
     println!(
-        "sharded serving: 2-shard scatter-gather H@1 {} — identical to the \
-         unsharded service",
+        "sharded serving: 2-shard scatter-gather H@1 {} — rankings identical \
+         to the unsharded scan",
         fmt3(sharded_h1),
     );
     drop(sharded);
